@@ -42,7 +42,7 @@ from .response import (delta_p, j_function, perturbative_validity,
 # defaults in QuadratureSpec favor speed; the validation grid instead uses
 # ladders tuned (once, against the closed form) so the extrapolation
 # residual sits safely inside the max(rel_tol, abs_tol) acceptance band at
-# every grid point.  The 2-D route needs a finer ladder: its residual
+# every grid point.  The sinh2d route needs a finer ladder: its residual
 # scales with the square of the regulator.
 GRID_EPSILONS = {
     "imagesum1d": (2.5e-3, 1.25e-3, 6.25e-4),

@@ -24,6 +24,7 @@ Do not "fix" the missing 2pi.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -113,7 +114,8 @@ class StageLedger:
     contact, 3 expansion, 4 cold contact.  Work is energy delivered to
     the medium, heat is energy absorbed by the medium, so q_total +
     w_total = 0 (first law); ``first_law_residual`` records the actual
-    balance relative to the largest stage magnitude.  w_ext = -w_total
+    balance relative to the largest stage magnitude, or to the smallest
+    normal float when every stage term is subnormal.  w_ext = -w_total
     is the work extracted per cycle and eta = 1 - omega1/omega2 is the
     gap-ratio efficiency (the exact value of w_ext / q2 whenever q2 is
     nonzero, and independent of accelerations, speed, and coupling).
@@ -153,8 +155,10 @@ def stage_ledger(cfg: EngineConfig, dp_hot: float) -> StageLedger:
     q_total = q2 + q4
     w_total = w1 + w3
     balance = q_total + w_total
-    scale = max(abs(w1), abs(q2), abs(w3), abs(q4))
-    residual = abs(balance) / scale if scale > 0.0 else 0.0
+    # Subnormal terms round to an absolute 2^-1075, not a relative one, so
+    # the scale is floored at the smallest normal float.
+    scale = max(abs(w1), abs(q2), abs(w3), abs(q4), sys.float_info.min)
+    residual = abs(balance) / scale
 
     return StageLedger(q1=0.0, w1=w1, q2=q2, w2=0.0, q3=0.0, w3=w3,
                        q4=q4, w4=0.0, q_total=q_total, w_total=w_total,

@@ -159,8 +159,7 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
         raise DomainError("a must be positive and finite")
     if not g > 0.0:
         raise DomainError("g must be positive")
-    if not 0.0 < v < 1.0:
-        raise DomainError("v out of (0, tanh(pi))")
+    _check_speed(v)
 
     ratio = a / (g * g * math.atanh(v))
     verdict_pass = ratio >= margin

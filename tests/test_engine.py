@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -61,6 +61,7 @@ def test_degenerate_gap():
 
 @given(omega1=st.floats(0.1, 10.0), scale=st.floats(1.0, 10.0),
        p=st.floats(0.0, 1.0), dp=st.floats(-0.2, 0.2))
+@example(omega1=0.5, scale=2.0, p=0.0, dp=5e-324)  # every stage term subnormal
 @settings(max_examples=200, deadline=None)
 def test_first_law(omega1, scale, p, dp):
     cfg = _cfg(omega1=omega1, omega2=omega1 * scale, p=p)

@@ -1,27 +1,32 @@
 """Checks for the two quadrature routes and their shared result contract.
 
 The closed-form comparisons here use single points with the default
-regulator ladder; the full grid agreement (both representations, all
-anchor accelerations and speeds) lives in the acceptance suite.
+regulator ladder, except one check that every point of the CLI grid lies
+within its own error estimate; the grid agreement within the acceptance
+tolerance lives in the acceptance suite.
 """
 
 import math
 
 import pytest
+from scipy.integrate import quad
 
+from unruh_otto.cli import GRID_A, GRID_EPSILONS, GRID_V
 from unruh_otto.errors import DomainError, NonConvergenceError
-from unruh_otto.oracle import (QuadratureSpec, integrate_imagesum_1d,
-                               integrate_sinh_2d)
-from unruh_otto.response import j_function
+from unruh_otto.oracle import (QuadratureSpec, _window_weight,
+                               integrate_imagesum_1d, integrate_sinh_2d)
+from unruh_otto.response import j_function, vacuum_response
 
 Y8 = 2.0 * math.atanh(0.8)
 Y5 = 2.0 * math.atanh(0.5)
 
-# frozen outputs of the validated build (default QuadratureSpec)
+# frozen outputs of the validated build (default QuadratureSpec); the
+# sinh2d pair was re-frozen when its window weight became exact, which
+# removed a -6.5e-8 bias the truncated inner quadrature left in the value
 IM40_VALUE = 0.07559002087766481      # alpha=40, omega=-1, T=Y8/40
 IM40_J = 0.02618004175532962
-SINH100_VALUE = 0.06679793221109084   # alpha=100, omega=-1, T=Y5/100
-SINH100_J = 0.008595864422181687
+SINH100_VALUE = 0.06679799677702722   # alpha=100, omega=-1, T=Y5/100
+SINH100_J = 0.008595993554054437
 
 
 def test_imagesum_reference_point():
@@ -50,6 +55,39 @@ def test_sinh2d_reference_point():
     assert res.value.real == pytest.approx(SINH100_VALUE, rel=1e-9)
     assert res.j_estimate == pytest.approx(SINH100_J, rel=1e-9)
     assert abs(res.j_estimate - j_function(-0.01, Y5)) <= res.j_error_estimate
+
+
+@pytest.mark.parametrize("u, T", [(0.0, 1.0), (0.0, 3e-2), (0.7, 1.0),
+                                  (-2.5, 0.4), (40.0, 1.0), (1e3, 5e-2)])
+def test_window_weight_is_the_exact_convolution(u, T):
+    # the closed form integrate_sinh_2d uses in place of the s-integral,
+    # checked by quadrature; the integrand is even in s, so the half
+    # line gives half of the full integral
+    def g(s):
+        return T ** 4 / (((s + u) ** 2 + T * T) * ((s - u) ** 2 + T * T))
+
+    au = abs(u)
+    near, _ = quad(g, 0.0, 2.0 * au + T, points=[au], limit=200,
+                   epsabs=0.0, epsrel=1e-13)
+    far, _ = quad(g, 2.0 * au + T, math.inf, limit=200,
+                  epsabs=0.0, epsrel=1e-13)
+    assert _window_weight(u, T) == pytest.approx(near + far, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("integrate, rep", [
+    (integrate_imagesum_1d, "imagesum1d"), (integrate_sinh_2d, "sinh2d")])
+def test_error_estimate_covers_grid(integrate, rep):
+    spec = QuadratureSpec(epsilon_list=GRID_EPSILONS[rep])
+    misses = []
+    for a in GRID_A:
+        for v in GRID_V:
+            duration = 2.0 * math.atanh(v) / a
+            for omega in (-1.0, 1.0):
+                res = integrate(a, omega, duration, spec)
+                diff = abs(res.j_estimate - vacuum_response(a, omega, duration))
+                if diff > res.j_error_estimate:
+                    misses.append((a, v, omega, diff, res.j_error_estimate))
+    assert not misses
 
 
 def test_cross_representation_agreement():

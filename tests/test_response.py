@@ -147,3 +147,8 @@ def test_validity_reports_shifted_population():
 def test_validity_margin_domain():
     with pytest.raises(DomainError):
         perturbative_validity(40.0, 0.8, margin=1.0)
+
+
+def test_validity_speed_domain_without_population():
+    with pytest.raises(DomainError, match=r"v out of \(0, tanh\(pi\)\)"):
+        perturbative_validity(40.0, 0.999)
