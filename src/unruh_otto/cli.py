@@ -35,8 +35,8 @@ from .errors import (ConsistencyError, DomainError, NonConvergenceError,
                      ResourceLimitError)
 from .kinematics import Worldline, trajectory_point, velocity
 from .oracle import (QuadratureSpec, integrate_imagesum_1d, integrate_sinh_2d)
-from .response import (delta_p, j_function, perturbative_validity,
-                       vacuum_response)
+from .response import (j_function, kick_and_response, perturbative_validity,
+                       vacuum_response, with_population)
 
 # Regulator ladders used by the no-argument oracle-check grid.  The point
 # defaults in QuadratureSpec favor speed; the validation grid instead uses
@@ -123,15 +123,16 @@ def _linspace(lo: float, hi: float, count: int) -> List[float]:
 SWEEP_HEADER = ("a", "p", "v", "g", "delta_p", "valid", "in_unit_interval")
 
 
-def _sweep_row(a: float, p: float, v: float, g: float) -> tuple:
-    dp = delta_p(a, p, v, g)
-    verdict = perturbative_validity(a, v, g, p=p)
-    return (a, p, v, g, dp, verdict.passed, bool(verdict.in_unit_interval))
+def _sweep_row(a: float, p: float, v: float,
+               g: float) -> Tuple[tuple, float]:
+    """One sweep row and the J(-1/a, y) behind it; J is evaluated once."""
+    dp, j_value = kick_and_response(a, p, v, g)
+    verdict = with_population(perturbative_validity(a, v, g), p, dp)
+    return (a, p, v, g, dp, verdict.passed, verdict.in_unit_interval), j_value
 
 
 def _cmd_delta_p(args) -> int:
-    row = _sweep_row(args.a, args.p, args.v, args.g)
-    j_value = j_function(-1.0 / args.a, 2.0 * math.atanh(args.v))
+    row, j_value = _sweep_row(args.a, args.p, args.v, args.g)
     _emit(args, "delta-p",
           {"a": args.a, "p": args.p, "v": args.v, "g": args.g},
           SWEEP_HEADER + ("j_value",), [row + (j_value,)])
@@ -159,7 +160,7 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_sweep_a(args) -> int:
-    rows = [_sweep_row(a, args.p, args.v, args.g)
+    rows = [_sweep_row(a, args.p, args.v, args.g)[0]
             for a in _linspace(args.a_min, args.a_max, args.count)]
     _emit(args, "sweep-a",
           {"a_min": args.a_min, "a_max": args.a_max, "count": args.count,
@@ -169,7 +170,7 @@ def _cmd_sweep_a(args) -> int:
 
 
 def _cmd_sweep_p(args) -> int:
-    rows = [_sweep_row(args.a, p, args.v, args.g)
+    rows = [_sweep_row(args.a, p, args.v, args.g)[0]
             for p in _linspace(args.p_min, args.p_max, args.count)]
     _emit(args, "sweep-p",
           {"a": args.a, "p_min": args.p_min, "p_max": args.p_max,

@@ -25,12 +25,12 @@ Do not "fix" the missing 2pi.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import ConsistencyError, DomainError
 from .response import (V_MAX, ValidityVerdict, j_function,
-                       perturbative_validity)
+                       perturbative_validity, with_population)
 
 __all__ = [
     "EngineConfig", "StageLedger", "CycleSolution",
@@ -237,10 +237,8 @@ def solve_cycle(cfg: EngineConfig) -> CycleSolution:
     dp_hot = _kick(cfg.a_H, p0, cfg.v, cfg.g)
 
     def verdict(a: float, kick: float) -> ValidityVerdict:
-        shifted = p0 + kick
-        return replace(perturbative_validity(a, cfg.v, cfg.g),
-                       population_after=shifted,
-                       in_unit_interval=0.0 < shifted < 1.0)
+        return with_population(perturbative_validity(a, cfg.v, cfg.g),
+                               p0, kick)
 
     return CycleSolution(p0=p0, dp_hot=dp_hot, dp_cold=-dp_hot,
                          feasible=dp_hot > 0.0,

@@ -52,6 +52,7 @@ exposed on :class:`OracleResult` and used for every closed-form
 comparison.  ``value`` itself is always the raw windowed integral.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import DomainError, NonConvergenceError
 
 TWO_PI = 2.0 * math.pi
+_QUAD_LIMIT = 300
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,14 @@ def _convergence_check(extrapolated, residual, spec: QuadratureSpec) -> None:
 
 
 def _adaptive_complex_quad(f, lo, hi, points):
+    points = sorted(set(points))
+    if len(points) >= _QUAD_LIMIT:
+        raise NonConvergenceError(
+            f"{len(points)} break points leave no room within the "
+            f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(f, lo, hi, points=sorted(set(points)), limit=300,
+        value, err = quad(f, lo, hi, points=points, limit=_QUAD_LIMIT,
                           epsabs=1e-12, epsrel=1e-10, complex_func=True)
     return value, abs(err)
 
@@ -193,6 +200,9 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     with c = 2 pi / alpha, over |u| <= window * T, at each regulator value,
     then extrapolates eps -> 0.  The k-tail truncation bound
     (alpha T)^2 / (32 pi^2 k_max) is folded into the error estimate.
+    Each image pole c k inside the window is a quadrature break point; a
+    window with 300 or more break points (about window * alpha * T / pi)
+    raises NonConvergenceError.
     """
     spec = spec or DEFAULT_SPEC
     _check_args(alpha, omega, T, spec)
@@ -250,6 +260,19 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
                         truncation_dominated=trunc > spec.rel_tol * abs(extrapolated))
 
 
+def _inv_sinh_squared(x: complex) -> complex:
+    """1/sinh^2(x), without overflow far from the diagonal.
+
+    For |Re x| > 20 it is taken as 4 q / (1 - q)^2 with q = e^{-2x} (e^{2x}
+    for Re x < 0): |q| < 5e-18 there, so nothing overflows and 1 - q does
+    not cancel.
+    """
+    if abs(x.real) <= 20.0:
+        return 1.0 / cmath.sinh(x) ** 2
+    q = cmath.exp(-2.0 * x if x.real > 0.0 else 2.0 * x)
+    return 4.0 * q / (1.0 - q) ** 2
+
+
 def _window_weight(u: float, T: float) -> float:
     """1/2 Integral ds xi_T((s+u)/2) xi_T((s-u)/2): a Cauchy-Cauchy convolution."""
     return 0.25 * math.pi * T ** 3 / (u * u + T * T)
@@ -277,8 +300,9 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
         T^3 alpha^2 min(1/u_max, 1/(alpha u_max^2)) / (32 pi sinh^2(alpha u_max / 2)),
 
     i.e. T^3 alpha e^{-alpha u_max} / (8 pi u_max^2) for long windows, where
-    |G(u)| ~ alpha^2 e^{-alpha |u|} / (4 pi^2).  ``spec.k_max`` plays no
-    role here.
+    |G(u)| ~ alpha^2 e^{-alpha |u|} / (4 pi^2); the kernel is evaluated in
+    that decaying form, so long windows do not overflow.  ``spec.k_max``
+    plays no role here.
     """
     spec = spec or DEFAULT_SPEC
     _check_args(alpha, omega, T, spec)
@@ -294,7 +318,7 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
         def f(u):
             arg = 0.5 * alpha * u - 1j * eps_t * alpha
             return (_window_weight(u, T) * np.exp(1j * omega * u)
-                    * pref / np.sinh(arg) ** 2)
+                    * pref * _inv_sinh_squared(arg))
 
         pts = _spike_points(2.0 * eps_t, u_max)
         val, err = _adaptive_complex_quad(f, -u_max, u_max, pts)

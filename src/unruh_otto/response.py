@@ -37,8 +37,8 @@ marks the region where the perturbative treatment loses validity (see
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from .errors import DomainError
 from .specfun import lerch_phi
@@ -102,12 +102,18 @@ def vacuum_response(alpha: float, omega: float, duration: float) -> float:
     return j_function(omega / alpha, alpha * duration)
 
 
+def kick_and_response(a: float, p: float, v: float,
+                      g: float = 1.0) -> Tuple[float, float]:
+    """delta_p together with the J(-1/a, y) it rests on, from one J call."""
+    _check_reduced_point(a, p, v, g)
+    j_value = j_function(-1.0 / a, 2.0 * math.atanh(v))
+    kick = g * g * ((1.0 - 2.0 * p) * j_value - p * math.atanh(v) / (2.0 * a))
+    return kick, j_value
+
+
 def delta_p(a: float, p: float, v: float, g: float = 1.0) -> float:
     """Population correction delta_p for one vacuum contact (reduced form)."""
-    _check_reduced_point(a, p, v, g)
-    y = 2.0 * math.atanh(v)
-    return g * g * ((1.0 - 2.0 * p) * j_function(-1.0 / a, y)
-                    - p * math.atanh(v) / (2.0 * a))
+    return kick_and_response(a, p, v, g)[0]
 
 
 def delta_p_unreduced(a: float, p: float, v: float, g: float = 1.0) -> float:
@@ -164,10 +170,16 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
     ratio = a / (g * g * math.atanh(v))
     verdict_pass = ratio >= margin
     vmax = v_max_for(a, g)
+    verdict = ValidityVerdict(ratio=ratio, margin=margin, passed=verdict_pass,
+                              v_max=vmax)
     if p is None:
-        return ValidityVerdict(ratio=ratio, margin=margin, passed=verdict_pass,
-                               v_max=vmax)
-    shifted = p + delta_p(a, p, v, g)
-    return ValidityVerdict(ratio=ratio, margin=margin, passed=verdict_pass,
-                           v_max=vmax, population_after=shifted,
-                           in_unit_interval=0.0 < shifted < 1.0)
+        return verdict
+    return with_population(verdict, p, delta_p(a, p, v, g))
+
+
+def with_population(verdict: ValidityVerdict, p: float,
+                    kick: float) -> ValidityVerdict:
+    """``verdict`` completed with the population p + kick after the contact."""
+    shifted = p + kick
+    return replace(verdict, population_after=shifted,
+                   in_unit_interval=0.0 < shifted < 1.0)

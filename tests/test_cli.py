@@ -10,6 +10,9 @@ import sys
 
 import pytest
 
+from unruh_otto import cli, response
+from unruh_otto.response import j_function
+
 CLI = [sys.executable, "-m", "unruh_otto.cli"]
 
 DELTA_P_GOLDEN = (
@@ -41,6 +44,36 @@ def test_delta_p_positive_kick_below_fixed_point():
     row = parse_csv(proc.stdout)[0]
     assert float(row["delta_p"]) > 0.0
     assert row["valid"] == "true"
+
+
+def test_delta_p_at_large_acceleration():
+    # needed ~1.2e7 direct Lerch terms, past the term cap (exit 3)
+    proc = run("delta-p", "--a", "3e6", "--p", "0.3", "--v", "0.8")
+    assert proc.returncode == 0, proc.stderr
+    row = parse_csv(proc.stdout)[0]
+    assert row["valid"] == "true"
+    assert math.isfinite(float(row["j_value"]))
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("delta-p", "--a", "40", "--p", "0.5", "--v", "0.8"), 1),
+    (("sweep-a", "--a-min", "5", "--a-max", "50", "--count", "4",
+      "--p", "0.3", "--v", "0.8"), 4),
+    (("sweep-p", "--p-min", "0", "--p-max", "1", "--count", "3",
+      "--a", "40", "--v", "0.8"), 3),
+])
+def test_one_j_per_row(argv, rows, monkeypatch, capsys):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return j_function(x, y)
+
+    monkeypatch.setattr(response, "j_function", counted)
+    monkeypatch.setattr(cli, "j_function", counted)
+    assert cli.main(list(argv)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+    assert len(calls) == rows
 
 
 def test_speed_domain_error():
@@ -199,6 +232,14 @@ def test_oracle_check_non_convergence_exit():
                "--rel-tol", "1e-9")
     assert proc.returncode == 3
     assert "extrapolants" in proc.stderr
+
+
+def test_oracle_check_long_window_exits_3():
+    proc = run("oracle-check", "--alpha", "1", "--omega", "0.5",
+               "--duration", "1", "--window", "2000")
+    assert proc.returncode == 3
+    assert "break points" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_oracle_check_csv_format():

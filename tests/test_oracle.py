@@ -139,6 +139,26 @@ def test_truncation_bound_covers_k_sensitivity():
     assert not integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0).truncation_dominated
 
 
+def test_long_window_sinh2d_is_finite():
+    # window = 2000 at (alpha, omega, T) = (1, 0.5, 1): sinh^2 of the
+    # kernel overflowed far from the diagonal and left nan in every field
+    result = integrate_sinh_2d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
+    numbers = [result.value.real, result.value.imag, result.error_estimate,
+               result.truncation_bound]
+    for v in result.epsilon_values:
+        numbers += [v.real, v.imag]
+    assert all(math.isfinite(n) for n in numbers)
+    assert abs(result.j_estimate - j_function(0.5, 1.0)) <= \
+        result.j_error_estimate
+
+
+def test_long_window_imagesum_is_typed_error():
+    # the same window puts 636 image poles in as break points, past quad's
+    # 300 subintervals: an untyped ValueError before
+    with pytest.raises(NonConvergenceError, match="break points"):
+        integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
+
+
 def test_non_convergence_budget():
     # squeezing the error budget makes the leftover extrapolation residual
     # (a healthy ~1e-6 here) trip the 10x check

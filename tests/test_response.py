@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,34 @@ def test_affine_in_population(a, p1, p3, v):
 def test_kick_domain(kwargs):
     with pytest.raises(DomainError):
         delta_p(**kwargs)
+
+
+def _j_mpmath(x, y):
+    """J(x, y) from its closed form with mpmath.lerchphi at 30 digits."""
+    with mpmath.workdps(30):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        ax = abs(x)
+        z = mpmath.exp(-2 * mpmath.pi * ax)
+        shift = y / (2 * mpmath.pi)
+        value = ((y / 2) ** 2 * mpmath.exp(-ax * y)
+                 / (8 * mpmath.sin(y / 2) ** 2)
+                 - mpmath.mpf(1) / 8 + (ax * y / 4 if x > 0 else 0))
+        for s, weight in ((2, y * y * z / (32 * mpmath.pi ** 2)),
+                          (1, ax * y * y * z / (16 * mpmath.pi))):
+            value += weight * (mpmath.lerchphi(z, s, 1 + shift)
+                               - mpmath.lerchphi(z, s, 1 - shift))
+        return float(value)
+
+
+@pytest.mark.parametrize("a,v", [
+    (1e2, 0.3), (1e3, 0.95), (10 ** 4.5, 0.5), (1e6, 0.8),
+    (3e6, 0.8), (10 ** 7.5, 0.3), (1e9, 0.95),
+])
+def test_large_acceleration_matches_mpmath(a, v):
+    # z = e^{-2 pi / a} -> 1: the Lerch terms take the log-z expansion
+    y = 2.0 * math.atanh(v)
+    for x in (-1.0 / a, 1.0 / a):
+        assert j_function(x, y) == pytest.approx(_j_mpmath(x, y), abs=1e-12)
 
 
 def test_speed_ceiling_message():

@@ -10,6 +10,7 @@ from unruh_otto.specfun import lerch_phi
 
 # independently computed with 50-digit working precision
 GOLDEN = 0.9522918415301704  # z=0.9, s=2, a=1.3
+EPS = 2.0 ** -52
 
 
 def test_golden_value():
@@ -70,8 +71,30 @@ def test_tol_domain():
 
 
 def test_term_cap_raises():
+    # a > 2 keeps z near 1 on the direct branch, which the cap guards
     with pytest.raises(ResourceLimitError):
-        lerch_phi(0.999999, 2, 1.0, max_terms=100)
+        lerch_phi(0.999999, 2, 5.0, max_terms=100)
+
+
+def test_near_one_takes_log_z_expansion():
+    # the input the term cap used to stop: ~9.3e6 direct terms at tol 1e-12
+    expected = float(mpmath.lerchphi(0.999999, 2, 1.0))
+    assert abs(lerch_phi(0.999999, 2, 1.0, max_terms=100) - expected) <= 1e-12
+
+
+@given(log_a=st.floats(1.0, 9.0), a=st.floats(1e-6, 2.0),
+       s=st.sampled_from([1, 2]), tol=st.sampled_from([1e-8, 1e-12, 1e-14]))
+@settings(max_examples=60, deadline=None)
+def test_matches_mpmath_across_log_z_switch(log_a, a, s, tol):
+    # z = e^{-2 pi / A} for reduced accelerations A in [10, 1e9]: the
+    # direct branch below A ~ 100, the log-z expansion above.  tol bounds
+    # the truncation; rounding adds a few ulps of the value, which only
+    # shows where phi ~ a^-s is large.
+    z = math.exp(-2.0 * math.pi / 10.0 ** log_a)
+    value = lerch_phi(z, s, a, tol=tol)
+    assert type(value) is float
+    expected = mpmath.lerchphi(mpmath.mpf(z), s, mpmath.mpf(a))
+    assert abs(value - expected) <= tol + 8 * EPS * abs(expected)
 
 
 @given(z=st.floats(0.0, 0.95), a1=st.floats(0.05, 10.0),
