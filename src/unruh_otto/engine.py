@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import ConsistencyError, DomainError
-from .response import (V_MAX, ValidityVerdict, j_function,
+from .response import (ValidityVerdict, _check_speed, j_function, kick,
                        perturbative_validity, with_population)
 
 __all__ = [
@@ -39,28 +39,9 @@ __all__ = [
 ]
 
 
-def _check_speed(v: float) -> None:
-    if not (math.isfinite(v) and 0.0 < v < V_MAX):
-        raise DomainError("v out of (0, tanh(pi))")
-
-
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive")
-
-
-def _kick(a: float, p: float, v: float, g: float = 1.0) -> float:
-    """Population kick of one contact, continued to arbitrary real p.
-
-    Same arithmetic as :func:`unruh_otto.response.delta_p`, without the
-    p in [0, 1] population contract: the kick is affine in p, and the
-    cycle's fixed point can land outside the unit interval (the cycle
-    is then infeasible, but its residuals and feasibility diagnostics
-    must still evaluate).
-    """
-    y = 2.0 * math.atanh(v)
-    return g * g * ((1.0 - 2.0 * p) * j_function(-1.0 / a, y)
-                    - p * math.atanh(v) / (2.0 * a))
 
 
 @dataclass(frozen=True)
@@ -176,33 +157,38 @@ def critical_probability(a_H: float, a_C: float, v: float) -> float:
             / ((a_H + a_C) atanh(v)),        y = 2 atanh(v).
 
     The result is cross-checked by substituting it back into the two
-    population kicks; a residual above 1e-10 raises ConsistencyError.
+    population kicks, built from the same two J values; a residual above
+    1e-10 raises ConsistencyError.
     p0 is a fixed point of the linearized population dynamics, not
     automatically a probability: it is negative whenever the response
     offsets sum negative (both contacts de-exciting), and a cycle is
     operable as a heat engine only for 0 < p0 < 1/2.
     """
+    return _fixed_point(a_H, a_C, v)[0]
+
+
+def _fixed_point(a_H: float, a_C: float, v: float) -> Tuple[float, float]:
+    """p0 of :func:`critical_probability` and the J(-1/a_H, y) behind it."""
     _check_positive("a_H", a_H)
     _check_positive("a_C", a_C)
     _check_speed(v)
 
     y = 2.0 * math.atanh(v)
-    offset_sum = j_function(-1.0 / a_H, y) + j_function(-1.0 / a_C, y)
-    pump = 2.0 * a_H * a_C * offset_sum / ((a_H + a_C) * math.atanh(v))
+    j_hot, j_cold = j_function(-1.0 / a_H, y), j_function(-1.0 / a_C, y)
+    pump = 2.0 * a_H * a_C * (j_hot + j_cold) / ((a_H + a_C) * math.atanh(v))
 
     denom = 1.0 + 2.0 * pump
     if denom == 0.0 or not math.isfinite(pump):
         raise DomainError("critical probability diverges for these parameters")
     p0 = pump / denom
 
-    kick_hot = _kick(a_H, p0, v)
-    kick_cold = _kick(a_C, p0, v)
+    kick_hot, kick_cold = kick(j_hot, a_H, p0, v), kick(j_cold, a_C, p0, v)
     scale = max(abs(kick_hot), abs(kick_cold), 1.0)
     if abs(kick_hot + kick_cold) > 1e-10 * scale:
         raise ConsistencyError(
             f"closed-form fixed point leaves kick residual "
             f"{kick_hot + kick_cold:.3e} at p0 = {p0!r}")
-    return p0
+    return p0, j_hot
 
 
 @dataclass(frozen=True)
@@ -233,12 +219,12 @@ def solve_cycle(cfg: EngineConfig) -> CycleSolution:
     numbers and verdicts are returned so parameter scans can see where
     and how operation fails.
     """
-    p0 = critical_probability(cfg.a_H, cfg.a_C, cfg.v)
-    dp_hot = _kick(cfg.a_H, p0, cfg.v, cfg.g)
+    p0, j_hot = _fixed_point(cfg.a_H, cfg.a_C, cfg.v)
+    dp_hot = kick(j_hot, cfg.a_H, p0, cfg.v, cfg.g)
 
-    def verdict(a: float, kick: float) -> ValidityVerdict:
+    def verdict(a: float, dp: float) -> ValidityVerdict:
         return with_population(perturbative_validity(a, cfg.v, cfg.g),
-                               p0, kick)
+                               p0, dp)
 
     return CycleSolution(p0=p0, dp_hot=dp_hot, dp_cold=-dp_hot,
                          feasible=dp_hot > 0.0,
@@ -278,7 +264,7 @@ def work_comparison(a_H: float, a_C: float, v_list: Sequence[float],
     w_cl = classical_delta_p(a_H, a_C) * gap_diff
     rows = []
     for v in v_list:
-        p0 = critical_probability(a_H, a_C, v)
-        dp_hot = _kick(a_H, p0, v, g)
+        p0, j_hot = _fixed_point(a_H, a_C, v)
+        dp_hot = kick(j_hot, a_H, p0, v, g)
         rows.append((float(v), dp_hot * gap_diff, w_cl))
     return rows

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .errors import DomainError
-from .specfun import lerch_phi
+from .specfun import DEFAULT_TOL, _log_z_series, lerch_phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,8 +60,8 @@ def _check_reduced_point(a: float, p: float, v: float, g: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise DomainError("p out of [0, 1]")
     _check_speed(v)
-    if not g > 0.0:
-        raise DomainError("g must be positive")
+    if not (math.isfinite(g) and g > 0.0):
+        raise DomainError("g must be positive and finite")
 
 
 def j_function(x: float, y: float) -> float:
@@ -82,11 +82,16 @@ def j_function(x: float, y: float) -> float:
     shift = y / TWO_PI
     sin_half = math.sin(0.5 * y)
 
+    def phi(s: int, b: float) -> float:
+        # z rounds to 1 below |x| ~ 8.8e-18; the expansion takes log z exactly
+        return (lerch_phi(z, s, b) if z < 1.0
+                else _log_z_series(-TWO_PI * ax, s, b, DEFAULT_TOL))
+
     value = (0.5 * y) ** 2 * math.exp(-ax * y) / (8.0 * sin_half ** 2) - 0.125
     if x > 0.0:
         value += 0.25 * ax * y
-    d2 = lerch_phi(z, 2, 1.0 + shift) - lerch_phi(z, 2, 1.0 - shift)
-    d1 = lerch_phi(z, 1, 1.0 + shift) - lerch_phi(z, 1, 1.0 - shift)
+    d2 = phi(2, 1.0 + shift) - phi(2, 1.0 - shift)
+    d1 = phi(1, 1.0 + shift) - phi(1, 1.0 - shift)
     value += y * y * z / (32.0 * math.pi ** 2) * d2
     value += ax * y * y * z / (16.0 * math.pi) * d1
     return value
@@ -107,8 +112,14 @@ def kick_and_response(a: float, p: float, v: float,
     """delta_p together with the J(-1/a, y) it rests on, from one J call."""
     _check_reduced_point(a, p, v, g)
     j_value = j_function(-1.0 / a, 2.0 * math.atanh(v))
-    kick = g * g * ((1.0 - 2.0 * p) * j_value - p * math.atanh(v) / (2.0 * a))
-    return kick, j_value
+    return kick(j_value, a, p, v, g), j_value
+
+
+def kick(j_value: float, a: float, p: float, v: float,
+         g: float = 1.0) -> float:
+    """delta_p from a given J(-1/a, 2 atanh v), continued to any real p:
+    the cycle's fixed point may leave [0, 1], and its residuals must not."""
+    return g * g * ((1.0 - 2.0 * p) * j_value - p * math.atanh(v) / (2.0 * a))
 
 
 def delta_p(a: float, p: float, v: float, g: float = 1.0) -> float:
@@ -161,17 +172,11 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
     """
     if not margin > 1.0:
         raise DomainError("margin must exceed 1")
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError("a must be positive and finite")
-    if not g > 0.0:
-        raise DomainError("g must be positive")
-    _check_speed(v)
+    _check_reduced_point(a, 0.0, v, g)  # p, if given, is checked by delta_p
 
     ratio = a / (g * g * math.atanh(v))
-    verdict_pass = ratio >= margin
-    vmax = v_max_for(a, g)
-    verdict = ValidityVerdict(ratio=ratio, margin=margin, passed=verdict_pass,
-                              v_max=vmax)
+    verdict = ValidityVerdict(ratio=ratio, margin=margin,
+                              passed=ratio >= margin, v_max=v_max_for(a, g))
     if p is None:
         return verdict
     return with_population(verdict, p, delta_p(a, p, v, g))

@@ -9,7 +9,7 @@ on the real series domain 0 <= z < 1, a > 0, with s a positive integer
 value carries a guaranteed absolute error below ``tol``.
 
 Direct summation
-    The series is summed in fixed chunks until the rigorous geometric
+    The series is summed in numpy chunks until the rigorous geometric
     tail bound
 
         tail(N) <= z^(N+1) / ((N + 1 + a)^s * (1 - z))
@@ -17,7 +17,11 @@ Direct summation
     drops below ``tol``.  It needs about log(1/tol) / |log z| terms, which
     grows without limit as z -> 1, so a hard term cap turns an input too
     close to 1 into a loud ``ResourceLimitError`` instead of a silent
-    truncation.
+    truncation.  The chunk is the shortest power of two from 128 to 4096
+    whose tail is also below 2^-60 (a+1)^-s, under half an ulp of the sum.
+    numpy sums pairwise, so the sum of that prefix is the leftmost subtree
+    of the 4096-term sum and rounds to the same bytes, while the terms it
+    leaves out are the ones that would underflow into subnormals.
 
 Log-z expansion
     For z near 1 (|log z| <= 2 pi / 100) and 0 < a <= 2 — which covers
@@ -39,11 +43,9 @@ Log-z expansion
                + |w|^(s+K) / ((s+K)! (1-|w|)) ],
 
     the second part only when the shift a -> a-1 was taken.  At the
-    switch about five terms certify tol = 1e-12, two to three times
-    cheaper than the direct branch's first 4096-term chunk.  The switch
-    is not lower because reduced accelerations up to 100, where the
-    CLI's examples and tests live, keep the direct branch's exact
-    output.
+    switch about five terms certify tol = 1e-12.  The switch is not lower
+    because reduced accelerations up to 100, where the CLI's examples and
+    tests live, keep the direct branch's exact output.
 """
 
 import functools
@@ -150,14 +152,21 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
         if value is not None:
             return value
 
+    def tail(n):
+        return math.exp(n * log_z) / ((n + a) ** s * (1.0 - z))
+
+    # the shortest chunk that keeps the 4096-term sum's bytes (see above)
+    floor = min(tol, 2.0 ** -60 * (a + 1.0) ** -s)
+    chunk = 128
+    while chunk < _CHUNK and tail(chunk) > floor:
+        chunk *= 2
     total = 0.0
     n = 0
     while n < max_terms:
-        k = np.arange(n, n + _CHUNK, dtype=float)
+        k = np.arange(n, n + chunk, dtype=float)
         total += float(np.sum(np.exp(k * log_z) / (k + a) ** s))
-        n += _CHUNK
-        tail = math.exp(n * log_z) / ((n + a) ** s * (1.0 - z))
-        if tail <= tol:
+        n += chunk
+        if tail(n) <= tol:
             return total
     raise ResourceLimitError(
         f"lerch_phi needs more than {max_terms} terms at z={z!r}; "

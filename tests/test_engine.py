@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from unruh_otto import engine
 from unruh_otto.engine import (CycleSolution, EngineConfig,
                                classical_delta_p, critical_probability,
                                solve_cycle, stage_ledger, work_comparison)
@@ -199,6 +200,33 @@ def test_work_comparison_table():
     assert w_unruh == sorted(w_unruh)           # grows with contact length
     assert all(r[2] == rows[0][2] for r in rows)  # bath value has no v
     assert all(r[1] < r[2] for r in rows)       # always below full thermalization
+    assert rows[1][1] == pytest.approx(0.002795594863061117, rel=1e-12)
+
+
+def _count_j_calls(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return j_function(x, y)
+
+    monkeypatch.setattr(engine, "j_function", counted)
+    return calls
+
+
+def test_solve_cycle_evaluates_j_twice(monkeypatch):
+    # J(-1/a_H, y) and J(-1/a_C, y) serve p0, its residual check and dp_hot
+    calls = _count_j_calls(monkeypatch)
+    sol = solve_cycle(_cfg())
+    y = 2.0 * math.atanh(0.8)
+    assert sorted(calls) == sorted([(-1.0 / 40.0, y), (-1.0 / 15.0, y)])
+    assert sol.dp_hot == pytest.approx(0.01 * DP_HOT_40_15_08, rel=1e-12)
+
+
+def test_work_comparison_evaluates_j_twice_per_speed(monkeypatch):
+    calls = _count_j_calls(monkeypatch)
+    rows = work_comparison(40.0, 15.0, [0.3, 0.5, 0.7])
+    assert len(calls) == 2 * len(rows)
     assert rows[1][1] == pytest.approx(0.002795594863061117, rel=1e-12)
 
 

@@ -112,16 +112,16 @@ def test_affine_in_population(a, p1, p3, v):
     dict(a=1.0, p=-0.1, v=0.5), dict(a=1.0, p=1.1, v=0.5),
     dict(a=1.0, p=0.5, v=0.0), dict(a=1.0, p=0.5, v=1.1),
     dict(a=1.0, p=0.5, v=0.999),  # above tanh(pi)
-    dict(a=1.0, p=0.5, v=0.5, g=0.0),
+    dict(a=1.0, p=0.5, v=0.5, g=0.0), dict(a=1.0, p=0.5, v=0.5, g=math.inf),
 ])
 def test_kick_domain(kwargs):
     with pytest.raises(DomainError):
         delta_p(**kwargs)
 
 
-def _j_mpmath(x, y):
-    """J(x, y) from its closed form with mpmath.lerchphi at 30 digits."""
-    with mpmath.workdps(30):
+def _j_mpmath(x, y, dps=30):
+    """J(x, y) from its closed form with mpmath.lerchphi at ``dps`` digits."""
+    with mpmath.workdps(dps):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         ax = abs(x)
         z = mpmath.exp(-2 * mpmath.pi * ax)
@@ -139,12 +139,16 @@ def _j_mpmath(x, y):
 @pytest.mark.parametrize("a,v", [
     (1e2, 0.3), (1e3, 0.95), (10 ** 4.5, 0.5), (1e6, 0.8),
     (3e6, 0.8), (10 ** 7.5, 0.3), (1e9, 0.95),
+    (1e18, 0.8), (1e30, 0.3), (1e30, 0.95),  # z rounds to 1 in floats
 ])
 def test_large_acceleration_matches_mpmath(a, v):
-    # z = e^{-2 pi / a} -> 1: the Lerch terms take the log-z expansion
+    # z = e^{-2 pi / a} -> 1: the Lerch terms take the log-z expansion.
+    # The reference resolves 1 - z with about log10(a) extra digits.
     y = 2.0 * math.atanh(v)
+    dps = 30 + int(math.log10(a))
     for x in (-1.0 / a, 1.0 / a):
-        assert j_function(x, y) == pytest.approx(_j_mpmath(x, y), abs=1e-12)
+        assert j_function(x, y) == pytest.approx(_j_mpmath(x, y, dps),
+                                                 abs=1e-12)
 
 
 def test_speed_ceiling_message():
@@ -176,6 +180,11 @@ def test_validity_reports_shifted_population():
 def test_validity_margin_domain():
     with pytest.raises(DomainError):
         perturbative_validity(40.0, 0.8, margin=1.0)
+
+
+def test_validity_rejects_infinite_coupling():
+    with pytest.raises(DomainError, match="g must be positive and finite"):
+        perturbative_validity(40.0, 0.8, g=math.inf)
 
 
 def test_validity_speed_domain_without_population():

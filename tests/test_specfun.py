@@ -1,6 +1,8 @@
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,31 @@ def test_matches_mpmath_across_log_z_switch(log_a, a, s, tol):
     assert type(value) is float
     expected = mpmath.lerchphi(mpmath.mpf(z), s, mpmath.mpf(a))
     assert abs(value - expected) <= tol + 8 * EPS * abs(expected)
+
+
+def _full_chunk_sum(z, s, a, tol=1e-12):
+    """The direct branch as it summed before: whole 4096-term chunks."""
+    log_z, total, n = math.log(z), 0.0, 0
+    while True:
+        k = np.arange(n, n + 4096, dtype=float)
+        total += float(np.sum(np.exp(k * log_z) / (k + a) ** s))
+        n += 4096
+        if math.exp(n * log_z) / ((n + a) ** s * (1.0 - z)) <= tol:
+            return total
+
+
+def test_short_prefix_keeps_full_chunk_bytes():
+    # reduced accelerations 2 to 100 (the direct branch), shifts in (0, 2]
+    rng = random.Random(8)
+    for i in range(500):
+        z = math.exp(-math.pi / 50.0 ** rng.random())
+        s = rng.choice((1, 2))
+        a = 2.0 * (1.0 - rng.random())
+        value = lerch_phi(z, s, a)
+        assert value == _full_chunk_sum(z, s, a), (z, s, a)
+        if i % 10 == 0:
+            expected = mpmath.lerchphi(z, s, a)
+            assert abs(value - expected) <= 1e-12 + 8 * EPS * abs(expected)
 
 
 @given(z=st.floats(0.0, 0.95), a1=st.floats(0.05, 10.0),
