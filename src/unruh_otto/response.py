@@ -118,7 +118,7 @@ def kick_and_response(a: float, p: float, v: float,
 def kick(j_value: float, a: float, p: float, v: float,
          g: float = 1.0) -> float:
     """delta_p from a given J(-1/a, 2 atanh v), continued to any real p:
-    the cycle's fixed point may leave [0, 1], and its residuals must not."""
+    the cycle's fixed point may leave [0, 1] and must still evaluate."""
     return g * g * ((1.0 - 2.0 * p) * j_value - p * math.atanh(v) / (2.0 * a))
 
 

@@ -20,8 +20,8 @@ Direct summation
     truncation.  The chunk is the shortest power of two from 128 to 4096
     whose tail is also below 2^-60 (a+1)^-s, under half an ulp of the sum.
     numpy sums pairwise, so the sum of that prefix is the leftmost subtree
-    of the 4096-term sum and rounds to the same bytes, while the terms it
-    leaves out are the ones that would underflow into subnormals.
+    of the 4096-term sum and rounds to the same bytes, and it stops well
+    before the terms that underflow into subnormals.
 
 Log-z expansion
     For z near 1 (|log z| <= 2 pi / 100) and 0 < a <= 2 — which covers

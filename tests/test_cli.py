@@ -76,20 +76,21 @@ def test_one_j_per_row(argv, rows, monkeypatch, capsys):
     assert len(calls) == rows
 
 
-def test_delta_p_where_z_rounds_to_one():
+def test_delta_p_where_z_rounds_to_one(capsys):
     # e^{-2 pi / a} rounds to 1 beyond a ~ 1.1e17; the log-z expansion
     # is handed log z = -2 pi / a exactly
-    proc = run("delta-p", "--a", "1e18", "--p", "0.3", "--v", "0.8")
-    assert proc.returncode == 0, proc.stderr
-    assert math.isfinite(float(parse_csv(proc.stdout)[0]["j_value"]))
+    assert cli.main(["delta-p", "--a", "1e18", "--p", "0.3",
+                     "--v", "0.8"]) == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert math.isfinite(float(row["j_value"]))
 
 
-def test_infinite_coupling_exits_2():
-    proc = run("delta-p", "--a", "40", "--p", "0.5", "--v", "0.8",
-               "--g", "inf")
-    assert proc.returncode == 2
-    assert "g must be positive and finite" in proc.stderr
-    assert proc.stdout == ""
+def test_infinite_coupling_exits_2(capsys):
+    assert cli.main(["delta-p", "--a", "40", "--p", "0.5", "--v", "0.8",
+                     "--g", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "g must be positive and finite" in captured.err
+    assert captured.out == ""
 
 
 def test_speed_domain_error():

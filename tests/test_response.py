@@ -143,9 +143,9 @@ def _j_mpmath(x, y, dps=30):
 ])
 def test_large_acceleration_matches_mpmath(a, v):
     # z = e^{-2 pi / a} -> 1: the Lerch terms take the log-z expansion.
-    # The reference resolves 1 - z with about log10(a) extra digits.
+    # Beyond a ~ 1e16 the reference needs more digits to resolve 1 - z.
     y = 2.0 * math.atanh(v)
-    dps = 30 + int(math.log10(a))
+    dps = 30 + max(0, int(math.log10(a)) - 16)
     for x in (-1.0 / a, 1.0 / a):
         assert j_function(x, y) == pytest.approx(_j_mpmath(x, y, dps),
                                                  abs=1e-12)
