@@ -16,7 +16,7 @@ append columns.
 
 Exit codes: 0 success, 1 check failed (oracle-check mismatch),
 2 domain error (single-line diagnostic on stderr), 3 numerical
-non-convergence or resource/consistency failure.
+non-convergence or a failed internal consistency check.
 """
 
 import argparse
@@ -31,8 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .engine import EngineConfig, solve_cycle, work_comparison
-from .errors import (ConsistencyError, DomainError, NonConvergenceError,
-                     ResourceLimitError)
+from .errors import ConsistencyError, DomainError, NonConvergenceError
 from .kinematics import Worldline, trajectory_point, velocity
 from .oracle import (QuadratureSpec, integrate_imagesum_1d, integrate_sinh_2d)
 from .response import (j_function, kick_and_response, perturbative_validity,
@@ -63,14 +62,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    return value
-
-
 def _write_payload(payload: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -87,8 +78,10 @@ def _write_payload(payload: str, out: Optional[str]) -> None:
         raise
 
 
-def _emit(args, command: str, parameters: dict, header: Sequence[str],
-          rows: List[tuple]) -> None:
+def _emit(args, header: Sequence[str], rows: List[tuple],
+          parameters: Optional[dict] = None) -> None:
+    """Write ``rows`` as CSV or JSON; the JSON ``parameters`` default to
+    every parsed flag except the subcommand and the output flags."""
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -97,11 +90,13 @@ def _emit(args, command: str, parameters: dict, header: Sequence[str],
             writer.writerow([_fmt(cell) for cell in row])
         payload = buffer.getvalue()
     else:
+        if parameters is None:
+            parameters = {name: value for name, value in vars(args).items()
+                          if name not in ("command", "format", "out")}
         payload = json.dumps(
-            {"metadata": {"command": command, "parameters": parameters,
+            {"metadata": {"command": args.command, "parameters": parameters,
                           "version": __version__},
-             "rows": [dict(zip(header, (_json_cell(c) for c in row)))
-                      for row in rows]},
+             "rows": [dict(zip(header, row)) for row in rows]},
             indent=2, sort_keys=True) + "\n"
     _write_payload(payload, args.out)
 
@@ -133,16 +128,13 @@ def _sweep_row(a: float, p: float, v: float,
 
 def _cmd_delta_p(args) -> int:
     row, j_value = _sweep_row(args.a, args.p, args.v, args.g)
-    _emit(args, "delta-p",
-          {"a": args.a, "p": args.p, "v": args.v, "g": args.g},
-          SWEEP_HEADER + ("j_value",), [row + (j_value,)])
+    _emit(args, SWEEP_HEADER + ("j_value",), [row + (j_value,)])
     return 0
 
 
 def _cmd_j_fn(args) -> int:
     value = j_function(args.x, args.y)
-    _emit(args, "j-fn", {"x": args.x, "y": args.y},
-          ("x", "y", "j"), [(args.x, args.y, value)])
+    _emit(args, ("x", "y", "j"), [(args.x, args.y, value)])
     return 0
 
 
@@ -153,29 +145,21 @@ def _cmd_trajectory(args) -> int:
     for tau in _linspace(-half, half, args.count):
         t, x = trajectory_point(worldline, tau)
         rows.append((tau, t, x, velocity(worldline, tau)))
-    _emit(args, "trajectory",
-          {"alpha": args.alpha, "v": args.v, "count": args.count},
-          ("tau", "t", "x", "velocity"), rows)
+    _emit(args, ("tau", "t", "x", "velocity"), rows)
     return 0
 
 
 def _cmd_sweep_a(args) -> int:
     rows = [_sweep_row(a, args.p, args.v, args.g)[0]
             for a in _linspace(args.a_min, args.a_max, args.count)]
-    _emit(args, "sweep-a",
-          {"a_min": args.a_min, "a_max": args.a_max, "count": args.count,
-           "p": args.p, "v": args.v, "g": args.g},
-          SWEEP_HEADER, rows)
+    _emit(args, SWEEP_HEADER, rows)
     return 0
 
 
 def _cmd_sweep_p(args) -> int:
     rows = [_sweep_row(args.a, p, args.v, args.g)[0]
             for p in _linspace(args.p_min, args.p_max, args.count)]
-    _emit(args, "sweep-p",
-          {"a": args.a, "p_min": args.p_min, "p_max": args.p_max,
-           "count": args.count, "v": args.v, "g": args.g},
-          SWEEP_HEADER, rows)
+    _emit(args, SWEEP_HEADER, rows)
     return 0
 
 
@@ -189,20 +173,14 @@ def _cmd_solve_grid(args) -> int:
                                            alpha_H=a_H, alpha_C=a_C,
                                            v=args.v, g=args.g))
             rows.append((a_H, a_C, args.v, sol.p0, sol.dp_hot, sol.feasible))
-    _emit(args, "solve-grid",
-          {"a_min": args.a_min, "a_max": args.a_max, "count": args.count,
-           "v": args.v, "g": args.g},
-          ("a_H", "a_C", "v", "p0", "dp_hot", "feasible"), rows)
+    _emit(args, ("a_H", "a_C", "v", "p0", "dp_hot", "feasible"), rows)
     return 0
 
 
 def _cmd_compare_classical(args) -> int:
     rows = work_comparison(args.a_hot, args.a_cold, args.v,
                            gap_diff=args.gap_diff, g=args.g)
-    _emit(args, "compare-classical",
-          {"a_hot": args.a_hot, "a_cold": args.a_cold, "v": list(args.v),
-           "gap_diff": args.gap_diff, "g": args.g},
-          ("v", "w_unruh", "w_cl"), rows)
+    _emit(args, ("v", "w_unruh", "w_cl"), rows)
     return 0
 
 
@@ -264,15 +242,14 @@ def _cmd_oracle_check(args) -> int:
         rows = [_check_point(args.alpha, args.omega, args.duration,
                              integrator, spec, args.expect_fail)]
 
-    _emit(args, "oracle-check",
+    _emit(args, ORACLE_HEADER, rows,
           {"alpha": args.alpha, "omega": args.omega,
            "duration": args.duration, "representation": args.representation,
            "epsilon_list": [float(e) for e in spec.epsilon_list],
            "k_max": spec.k_max, "window": spec.window,
            "abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol,
            "expect_fail": bool(args.expect_fail),
-           "mode": "grid" if grid_mode else "point"},
-          ORACLE_HEADER, rows)
+           "mode": "grid" if grid_mode else "point"})
     return 0 if all(row[-1] for row in rows) else 1
 
 
@@ -397,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, ResourceLimitError, ConsistencyError) as exc:
+    except (NonConvergenceError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

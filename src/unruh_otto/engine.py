@@ -28,20 +28,16 @@ import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import ConsistencyError, DomainError
-from .response import (ValidityVerdict, _check_speed, j_function, kick,
-                       perturbative_validity, with_population)
+from .errors import ConsistencyError, DomainError, check_positive
+from .response import (ValidityVerdict, _check_probability, _check_speed,
+                       j_function, kick, perturbative_validity,
+                       with_population)
 
 __all__ = [
     "EngineConfig", "StageLedger", "CycleSolution",
     "critical_probability", "stage_ledger", "solve_cycle",
     "classical_delta_p", "work_comparison",
 ]
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,16 +61,15 @@ class EngineConfig:
     p: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_positive("omega1", self.omega1)
-        _check_positive("omega2", self.omega2)
+        check_positive("omega1", self.omega1)
+        check_positive("omega2", self.omega2)
         if self.omega2 < self.omega1:
             raise DomainError("omega2 must be at least omega1")
-        _check_positive("alpha_H", self.alpha_H)
-        _check_positive("alpha_C", self.alpha_C)
+        check_positive("alpha_H", self.alpha_H)
+        check_positive("alpha_C", self.alpha_C)
         _check_speed(self.v)
-        _check_positive("g", self.g)
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise DomainError("p out of [0, 1]")
+        check_positive("g", self.g)
+        _check_probability(self.p)
 
     @property
     def a_H(self) -> float:
@@ -169,8 +164,8 @@ def critical_probability(a_H: float, a_C: float, v: float) -> float:
 
 def _fixed_point(a_H: float, a_C: float, v: float) -> Tuple[float, float]:
     """p0 of :func:`critical_probability` and the J(-1/a_H, y) behind it."""
-    _check_positive("a_H", a_H)
-    _check_positive("a_C", a_C)
+    check_positive("a_H", a_H)
+    check_positive("a_C", a_C)
     _check_speed(v)
 
     y = 2.0 * math.atanh(v)
@@ -242,8 +237,8 @@ def classical_delta_p(a_H: float, a_C: float) -> float:
     and contact duration.  Evaluated as (tanh(1/2a_C) - tanh(1/2a_H))/2,
     which saturates instead of overflowing as a -> 0+.
     """
-    _check_positive("a_H", a_H)
-    _check_positive("a_C", a_C)
+    check_positive("a_H", a_H)
+    check_positive("a_C", a_C)
     return 0.5 * (math.tanh(0.5 / a_C) - math.tanh(0.5 / a_H))
 
 
@@ -259,8 +254,8 @@ def work_comparison(a_H: float, a_C: float, v_list: Sequence[float],
     scale).  Returns rows (v, w_unruh, w_cl).  Longer contacts (larger
     v) push w_unruh toward the classical value from below.
     """
-    _check_positive("gap_diff", gap_diff)
-    _check_positive("g", g)
+    check_positive("gap_diff", gap_diff)
+    check_positive("g", g)
     w_cl = classical_delta_p(a_H, a_C) * gap_diff
     rows = []
     for v in v_list:

@@ -8,8 +8,8 @@ so the coordinate velocity tanh(alpha*tau) sweeps -v -> +v.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .response import V_MAX
+from .errors import DomainError, check_positive
+from .response import _check_speed
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,7 @@ class Worldline:
     v: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError("alpha must be positive")
+        check_positive("alpha", self.alpha)
         if not 0.0 < self.v < 1.0:
             raise DomainError("v out of (0, 1)")
 
@@ -51,8 +50,7 @@ def contact_durations(alpha_H: float, alpha_C: float, v: float) -> tuple:
     constant-velocity legs between contacts have no thermodynamic role and
     their duration is left to the caller.
     """
-    if not (alpha_H > 0.0 and alpha_C > 0.0):
-        raise DomainError("accelerations must be positive")
-    if not 0.0 < v < V_MAX:
-        raise DomainError("v out of (0, tanh(pi))")
+    check_positive("alpha_H", alpha_H)
+    check_positive("alpha_C", alpha_C)
+    _check_speed(v)
     return 2.0 * math.atanh(v) / alpha_H, 2.0 * math.atanh(v) / alpha_C

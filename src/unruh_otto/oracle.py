@@ -61,7 +61,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, check_positive
 
 TWO_PI = 2.0 * math.pi
 _QUAD_LIMIT = 300
@@ -91,18 +91,19 @@ class QuadratureSpec:
     rel_tol: float = 1e-3
     window: float = 20.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         eps = self.epsilon_list
         if len(eps) < 2:
             raise DomainError("epsilon_list needs at least two entries")
-        if any(e <= 0.0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise DomainError("epsilon_list must be strictly decreasing and positive")
+        for e in eps:
+            check_positive("epsilon_list entry", e)
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            raise DomainError("epsilon_list must be strictly decreasing")
         if self.k_max < 1:
             raise DomainError("k_max must be at least 1")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if not self.window > 0.0:
-            raise DomainError("window must be positive")
+        check_positive("abs_tol", self.abs_tol)
+        check_positive("rel_tol", self.rel_tol)
+        check_positive("window", self.window)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -134,14 +135,11 @@ class OracleResult:
         return 2.0 * self.error_estimate
 
 
-def _check_args(alpha: float, omega: float, T: float, spec: QuadratureSpec) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError("alpha must be positive")
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError("T must be positive")
+def _check_args(alpha: float, omega: float, T: float) -> None:
+    check_positive("alpha", alpha)
+    check_positive("T", T)
     if not math.isfinite(omega):
         raise DomainError("omega must be finite")
-    spec.validate()
 
 
 def _spike_points(scale: float, u_max: float) -> list:
@@ -205,7 +203,7 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     raises NonConvergenceError.
     """
     spec = spec or DEFAULT_SPEC
-    _check_args(alpha, omega, T, spec)
+    _check_args(alpha, omega, T)
 
     c = TWO_PI / alpha
     u_max = spec.window * T
@@ -305,7 +303,7 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
     plays no role here.
     """
     spec = spec or DEFAULT_SPEC
-    _check_args(alpha, omega, T, spec)
+    _check_args(alpha, omega, T)
 
     u_max = spec.window * T
     pref = -alpha ** 2 / (16.0 * math.pi ** 2)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 from .specfun import DEFAULT_TOL, _log_z_series, lerch_phi
 
 TWO_PI = 2.0 * math.pi
@@ -54,14 +54,16 @@ def _check_speed(v: float) -> None:
         raise DomainError("v out of (0, tanh(pi))")
 
 
-def _check_reduced_point(a: float, p: float, v: float, g: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError("a must be positive and finite")
+def _check_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise DomainError("p out of [0, 1]")
+
+
+def _check_reduced_point(a: float, p: float, v: float, g: float) -> None:
+    check_positive("a", a)
+    _check_probability(p)
     _check_speed(v)
-    if not (math.isfinite(g) and g > 0.0):
-        raise DomainError("g must be positive and finite")
+    check_positive("g", g)
 
 
 def j_function(x: float, y: float) -> float:
@@ -102,8 +104,8 @@ def vacuum_response(alpha: float, omega: float, duration: float) -> float:
 
     Dimensionless packaging of j_function: equals J(omega/alpha, alpha*T).
     """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    check_positive("alpha", alpha)
+    check_positive("duration", duration)
     return j_function(omega / alpha, alpha * duration)
 
 
@@ -141,8 +143,8 @@ def delta_p_unreduced(a: float, p: float, v: float, g: float = 1.0) -> float:
 
 def v_max_for(a: float, g: float = 1.0) -> float:
     """Largest speed for which the perturbative correction stays small."""
-    if not a > 0.0 or not g > 0.0:
-        raise DomainError("a and g must be positive")
+    check_positive("a", a)
+    check_positive("g", g)
     return math.tanh(a / (g * g))
 
 

@@ -54,7 +54,7 @@ import math
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_positive
 
 DEFAULT_TOL = 1e-12
 DEFAULT_TERM_CAP = 10_000_000
@@ -135,12 +135,10 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     a = float(a)
     if not 0.0 <= z < 1.0 or not math.isfinite(z):
         raise DomainError("z out of [0, 1)")
-    if a <= 0.0 or not math.isfinite(a):
-        raise DomainError("a must be positive")
+    check_positive("a", a)
     if s != int(s) or s < 1:
         raise DomainError("s must be a positive integer")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    check_positive("tol", tol)
     s = int(s)
 
     if z == 0.0:

@@ -202,16 +202,48 @@ def test_compare_classical_table():
     assert works == sorted(works)
 
 
-def test_json_envelope():
-    proc = run("j-fn", "--x", "-0.025", "--y", "2.1972245773362196",
-               "--format", "json", check=True)
-    doc = json.loads(proc.stdout)
-    assert doc["metadata"]["command"] == "j-fn"
+@pytest.mark.parametrize("argv,parameters", [
+    (["delta-p", "--a", "40", "--p", "0.5", "--v", "0.8"],
+     {"a": 40.0, "p": 0.5, "v": 0.8, "g": 1.0}),
+    (["j-fn", "--x", "-0.025", "--y", "2.1972245773362196"],
+     {"x": -0.025, "y": 2.1972245773362196}),
+    (["trajectory", "--alpha", "2", "--v", "0.6", "--count", "3"],
+     {"alpha": 2.0, "v": 0.6, "count": 3}),
+    (["sweep-a", "--a-min", "5", "--a-max", "50", "--count", "2",
+      "--p", "0.3", "--v", "0.8"],
+     {"a_min": 5.0, "a_max": 50.0, "count": 2, "p": 0.3, "v": 0.8,
+      "g": 1.0}),
+    (["sweep-p", "--p-min", "0", "--p-max", "1", "--count", "2",
+      "--a", "40", "--v", "0.8", "--g", "0.5"],
+     {"p_min": 0.0, "p_max": 1.0, "count": 2, "a": 40.0, "v": 0.8,
+      "g": 0.5}),
+    (["solve-grid", "--a-min", "5", "--a-max", "50", "--count", "2",
+      "--v", "0.8"],
+     {"a_min": 5.0, "a_max": 50.0, "count": 2, "v": 0.8, "g": 1.0}),
+    (["compare-classical", "--a-hot", "40", "--a-cold", "15",
+      "--v", "0.3", "0.5"],
+     {"a_hot": 40.0, "a_cold": 15.0, "v": [0.3, 0.5], "gap_diff": 1.0,
+      "g": 1.0}),
+    (["oracle-check", "--alpha", "40", "--omega", "-1",
+      "--duration", "0.0549306"],
+     {"alpha": 40.0, "omega": -1.0, "duration": 0.0549306,
+      "representation": "imagesum1d", "epsilon_list": [1e-2, 5e-3, 2.5e-3],
+      "k_max": 20000, "window": 20.0, "abs_tol": 1e-6, "rel_tol": 1e-3,
+      "expect_fail": False, "mode": "point"}),
+], ids=["delta-p", "j-fn", "trajectory", "sweep-a", "sweep-p", "solve-grid",
+        "compare-classical", "oracle-check"])
+def test_json_envelope(argv, parameters, capsys):
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    csv_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["command"] == argv[0]
     assert doc["metadata"]["version"]
-    assert doc["metadata"]["parameters"] == {"x": -0.025,
-                                             "y": 2.1972245773362196}
-    assert doc["rows"][0]["j"] == pytest.approx(0.026182410419473473,
-                                                rel=1e-12)
+    assert doc["metadata"]["parameters"] == parameters
+    # the JSON rows carry the CSV cells, unconverted
+    header = csv_rows[0]
+    assert [[cli._fmt(row[name]) for name in header]
+            for row in doc["rows"]] == csv_rows[1:]
 
 
 def test_oracle_check_point_passes():
@@ -256,6 +288,20 @@ def test_oracle_check_long_window_exits_3():
                "--duration", "1", "--window", "2000")
     assert proc.returncode == 3
     assert "break points" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--window", "inf"], "window must be positive and finite"),
+    (["--epsilon-list", "1e-2", "nan"],
+     "epsilon_list entry must be positive and finite"),
+    (["--abs-tol", "inf"], "abs_tol must be positive and finite"),
+], ids=["window-inf", "epsilon-nan", "abs-tol-inf"])
+def test_oracle_check_non_finite_spec_exits_2(flags, message):
+    proc = run("oracle-check", "--alpha", "1", "--omega", "1",
+               "--duration", "1", *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
 
 

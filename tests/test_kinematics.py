@@ -51,7 +51,8 @@ def test_outside_contact_interval():
 
 
 @pytest.mark.parametrize("alpha,v", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0),
-                                     (1.0, 1.0), (1.0, 1.5)])
+                                     (1.0, 1.0), (1.0, 1.5),
+                                     (math.inf, 0.5)])
 def test_worldline_domain(alpha, v):
     with pytest.raises(DomainError):
         Worldline(alpha=alpha, v=v)
@@ -78,3 +79,5 @@ def test_contact_durations_speed_ceiling():
         contact_durations(1.0, 1.0, 0.999)
     with pytest.raises(DomainError):
         contact_durations(-1.0, 1.0, 0.5)
+    with pytest.raises(DomainError, match="alpha_H must be positive and finite"):
+        contact_durations(math.inf, 1.0, 0.5)

@@ -176,10 +176,13 @@ def test_non_convergence_budget():
     dict(abs_tol=0.0),
     dict(rel_tol=-1.0),
     dict(window=0.0),
+    dict(window=math.inf),
+    dict(abs_tol=math.inf),
+    dict(epsilon_list=(1e-2, math.nan)),
 ])
 def test_spec_validation(bad):
     with pytest.raises(DomainError):
-        integrate_imagesum_1d(1.0, 1.0, 1.0, QuadratureSpec(**bad))
+        QuadratureSpec(**bad)
 
 
 @pytest.mark.parametrize("args", [

@@ -66,6 +66,10 @@ def test_j_domain(x, y):
 def test_vacuum_response_is_reduced_j():
     assert vacuum_response(40.0, -1.0, Y8 / 40.0) == j_function(-1 / 40, Y8)
     assert vacuum_response(2.0, 3.0, 0.5) == j_function(1.5, 1.0)
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        vacuum_response(math.inf, 1.0, 0.5)
+    with pytest.raises(DomainError, match="duration must be positive and finite"):
+        vacuum_response(2.0, 1.0, math.inf)
 
 
 def test_population_kick_reference():
@@ -168,6 +172,13 @@ def test_validity_speed_ceiling():
     assert v_max_for(2.0, 1.0) == pytest.approx(math.tanh(2.0), rel=1e-15)
     verdict = perturbative_validity(2.0, 0.5, 1.0, margin=2.0)
     assert verdict.v_max == pytest.approx(0.9640, abs=5e-5)
+
+
+@pytest.mark.parametrize("a,g,name", [(math.inf, 1.0, "a"),
+                                      (1.0, math.inf, "g")])
+def test_v_max_for_rejects_non_finite(a, g, name):
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        v_max_for(a, g)
 
 
 def test_validity_reports_shifted_population():
