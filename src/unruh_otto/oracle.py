@@ -27,15 +27,16 @@ Representations
     1-D route; independence from it, and from the closed form, lies on the
     kernel side (sinh form versus image expansion).
 
-Both error estimates cover the quadrature error, the regulator
-extrapolation residual and the truncation of the u-integral at
-``window * T``; the 1-D route adds its image-sum truncation bound.
-
-Each representation is evaluated at every regulator value in
+The image sum is the partial-fraction expansion of the sinh form, so the
+two routes integrate the same function of u and share everything but the
+kernel: one argument check, one regulator ladder and one bound on the
+window tails.  Each route is evaluated at every regulator value in
 ``QuadratureSpec.epsilon_list`` (units of 1/alpha) and Richardson-
 extrapolated to epsilon -> 0 from the final pair; the spread between
 successive extrapolants feeds the error estimate and a non-convergence
-check.
+check.  Both error estimates cover the quadrature error, that residual and
+the cut of the u-integral at ``window * T``; the 1-D route adds its
+image-sum truncation bound.
 
 Normalization
 -------------
@@ -56,7 +57,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -79,7 +80,7 @@ class QuadratureSpec:
         Error budget used by the non-convergence check and by the
         truncation-dominated flag.
     window
-        Half-width of the 1-D integration window in multiples of T.
+        Half-width of the u-window of both routes, in multiples of T.
     """
     epsilon_list: Tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
     # Image terms beyond ~6x the window are summed through a power-series
@@ -104,9 +105,6 @@ class QuadratureSpec:
         check_positive("abs_tol", self.abs_tol)
         check_positive("rel_tol", self.rel_tol)
         check_positive("window", self.window)
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,15 @@ class OracleResult:
         return 2.0 * self.error_estimate
 
 
-def _check_args(alpha: float, omega: float, T: float) -> None:
+def _u_max(alpha: float, omega: float, T: float, spec: QuadratureSpec) -> float:
+    """Check the arguments of either route; return the half-width window * T."""
     check_positive("alpha", alpha)
     check_positive("T", T)
     if not math.isfinite(omega):
         raise DomainError("omega must be finite")
+    u_max = spec.window * T
+    check_positive("window * T", u_max)
+    return u_max
 
 
 def _spike_points(scale: float, u_max: float) -> list:
@@ -168,29 +170,70 @@ def _extrapolate(values, eps_list):
     return pairs[-1], abs(pairs[-1] - values[-1])
 
 
-def _convergence_check(extrapolated, residual, spec: QuadratureSpec) -> None:
+def _check_break_points(count: float) -> None:
+    if count >= _QUAD_LIMIT:
+        raise NonConvergenceError(
+            f"{count:.6g} break points leave no room within the "
+            f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
+
+
+def _window_tail(alpha: float, T: float, u_max: float) -> float:
+    """Bound on the two tails of the u-integral cut off at |u| = u_max.
+
+    Both routes integrate w(u) e^{i omega u} G(u) with the window weight
+    w(u) = pi T^3 / (4 (u^2 + T^2)) and, as eps -> 0,
+    |G(u)| = alpha^2 / (16 pi^2 sinh^2(alpha |u| / 2)).  Since
+    sinh(x) >= sinh(x0) e^{x - x0} for x >= x0 >= 0 and w(u) < pi T^3 / (4 u^2),
+    the two tails sum to at most
+
+        T^3 alpha^2 min(1/u_max, 1/(alpha u_max^2)) / (32 pi sinh^2(alpha u_max / 2)),
+
+    i.e. T^3 alpha e^{-alpha u_max} / (8 pi u_max^2) for long windows.
+    """
+    # 1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2, in a form that neither
+    # overflows at large x nor cancels at small x
+    x = alpha * u_max
+    return (T ** 3 * alpha * math.exp(-x)
+            / (8.0 * math.pi * u_max * math.expm1(-x) ** 2)
+            * min(alpha, 1.0 / u_max))
+
+
+def _epsilon_ladder(integrand, pole_height: float, poles: list,
+                    alpha: float, T: float, u_max: float, spec: QuadratureSpec):
+    """Integrate over |u| <= u_max at each regulator and extrapolate eps -> 0.
+
+    ``integrand(u, eps)`` has its regulated pole at u = i pole_height eps
+    (eps in units of time); ``poles`` are further break points.  Returns
+    the values per regulator, the extrapolant and an error estimate: the
+    largest quadrature error + the extrapolation residual + the window
+    tails.  A residual beyond 10x the error budget is NonConvergenceError.
+    """
+    values, quad_errs = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for eps_units in spec.epsilon_list:
+            eps_t = eps_units / alpha
+            pts = sorted(set(_spike_points(pole_height * eps_t, u_max) + poles))
+            _check_break_points(len(pts))
+            val, err = quad(integrand, -u_max, u_max, args=(eps_t,),
+                            points=pts, limit=_QUAD_LIMIT, epsabs=1e-12,
+                            epsrel=1e-10, complex_func=True)
+            values.append(val)
+            quad_errs.append(abs(err))
+
+    extrapolated, residual = _extrapolate(values, spec.epsilon_list)
     budget = 10.0 * (spec.abs_tol + spec.rel_tol * abs(extrapolated))
     if residual > budget:
         raise NonConvergenceError(
             f"epsilon extrapolants differ by {residual:.3e}, "
             f"exceeding 10x the error budget {budget / 10.0:.3e}")
-
-
-def _adaptive_complex_quad(f, lo, hi, points):
-    points = sorted(set(points))
-    if len(points) >= _QUAD_LIMIT:
-        raise NonConvergenceError(
-            f"{len(points)} break points leave no room within the "
-            f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(f, lo, hi, points=points, limit=_QUAD_LIMIT,
-                          epsabs=1e-12, epsrel=1e-10, complex_func=True)
-    return value, abs(err)
+    error = max(quad_errs) + residual + _window_tail(alpha, T, u_max)
+    return (tuple(complex(v) for v in values), complex(extrapolated),
+            float(error))
 
 
 def integrate_imagesum_1d(alpha: float, omega: float, T: float,
-                          spec: Optional[QuadratureSpec] = None) -> OracleResult:
+                          spec: QuadratureSpec = QuadratureSpec()) -> OracleResult:
     """Windowed response integral via the image expansion (1-D quadrature).
 
     Evaluates  -T^3/(16 pi) * Integral du e^{i omega u} / (u^2 + T^2) *
@@ -200,13 +243,12 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     (alpha T)^2 / (32 pi^2 k_max) is folded into the error estimate.
     Each image pole c k inside the window is a quadrature break point; a
     window with 300 or more break points (about window * alpha * T / pi)
-    raises NonConvergenceError.
+    raises NonConvergenceError before the poles are listed.
     """
-    spec = spec or DEFAULT_SPEC
-    _check_args(alpha, omega, T)
-
+    u_max = _u_max(alpha, omega, T, spec)
     c = TWO_PI / alpha
-    u_max = spec.window * T
+    n_images = u_max // c
+    _check_break_points(2.0 * n_images)
     pref = -T ** 3 / (16.0 * math.pi)
 
     # Exact image terms for c*k up to 6*u_max; beyond that the truncated
@@ -226,34 +268,20 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
         far = 2.0 * (-s1 + u2 * (3.0 * s2 + u2 * (-5.0 * s3 + u2 * (7.0 * s4 - 9.0 * u2 * s5))))
         return near + far
 
-    image_points = [sign * c * k for k in range(1, int(u_max / c) + 1)
+    def f(u, eps_t):
+        k0 = 1.0 / (u - 1j * eps_t) ** 2
+        return (pref * np.exp(1j * omega * u) * (k0 + image_sum(u * u))
+                / (u * u + T * T))
+
+    image_points = [sign * c * k for k in range(1, int(n_images) + 1)
                     for sign in (1.0, -1.0)]
-
-    values = []
-    quad_errs = []
-    for eps_units in spec.epsilon_list:
-        eps_t = eps_units / alpha
-
-        def f(u):
-            k0 = 1.0 / (u - 1j * eps_t) ** 2
-            return (pref * np.exp(1j * omega * u) * (k0 + image_sum(u * u))
-                    / (u * u + T * T))
-
-        pts = _spike_points(eps_t, u_max) + image_points
-        val, err = _adaptive_complex_quad(f, -u_max, u_max, pts)
-        values.append(val)
-        quad_errs.append(err)
-
-    extrapolated, residual = _extrapolate(values, spec.epsilon_list)
-    _convergence_check(extrapolated, residual, spec)
-
+    values, extrapolated, error = _epsilon_ladder(f, 1.0, image_points, alpha,
+                                                  T, u_max, spec)
     trunc = (alpha * T) ** 2 / (32.0 * math.pi ** 2 * spec.k_max)
-    window_tail = T ** 3 * alpha * math.exp(-alpha * u_max) / (4.0 * math.pi * u_max ** 2)
-    error = max(quad_errs) + residual + trunc + window_tail
-    return OracleResult(value=complex(extrapolated),
-                        error_estimate=float(error),
+    return OracleResult(value=extrapolated,
+                        error_estimate=error + trunc,
                         representation="imagesum1d",
-                        epsilon_values=tuple(complex(v) for v in values),
+                        epsilon_values=values,
                         truncation_bound=trunc,
                         truncation_dominated=trunc > spec.rel_tol * abs(extrapolated))
 
@@ -277,7 +305,7 @@ def _window_weight(u: float, T: float) -> float:
 
 
 def integrate_sinh_2d(alpha: float, omega: float, T: float,
-                      spec: Optional[QuadratureSpec] = None) -> OracleResult:
+                      spec: QuadratureSpec = QuadratureSpec()) -> OracleResult:
     """Windowed response integral of the sinh-form correlation function.
 
     Evaluates  Integral dtau dtau' xi_T(tau) xi_T(tau') e^{i omega (tau-tau')}
@@ -290,50 +318,21 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
 
     so one adaptive u-quadrature over |u| <= window * T per regulator value
     remains; the regulator is extrapolated away as in the 1-D
-    representation.  The error estimate adds a bound on the two tails cut
-    off at |u| = u_max = window * T.  Since sinh(x) >= sinh(x0) e^{x - x0}
-    for x >= x0 >= 0 and the weight stays below pi T^3 / (4 u^2), they sum
-    to at most
-
-        T^3 alpha^2 min(1/u_max, 1/(alpha u_max^2)) / (32 pi sinh^2(alpha u_max / 2)),
-
-    i.e. T^3 alpha e^{-alpha u_max} / (8 pi u_max^2) for long windows, where
-    |G(u)| ~ alpha^2 e^{-alpha |u|} / (4 pi^2); the kernel is evaluated in
-    that decaying form, so long windows do not overflow.  ``spec.k_max``
-    plays no role here.
+    representation, and the window tails are bounded by ``_window_tail``.
+    The kernel is evaluated in a form that decays far from the diagonal,
+    so long windows do not overflow.  ``spec.k_max`` plays no role here.
     """
-    spec = spec or DEFAULT_SPEC
-    _check_args(alpha, omega, T)
-
-    u_max = spec.window * T
+    u_max = _u_max(alpha, omega, T, spec)
     pref = -alpha ** 2 / (16.0 * math.pi ** 2)
 
-    values = []
-    quad_errs = []
-    for eps_units in spec.epsilon_list:
-        eps_t = eps_units / alpha
+    def f(u, eps_t):
+        arg = 0.5 * alpha * u - 1j * eps_t * alpha
+        return (_window_weight(u, T) * np.exp(1j * omega * u)
+                * pref * _inv_sinh_squared(arg))
 
-        def f(u):
-            arg = 0.5 * alpha * u - 1j * eps_t * alpha
-            return (_window_weight(u, T) * np.exp(1j * omega * u)
-                    * pref * _inv_sinh_squared(arg))
-
-        pts = _spike_points(2.0 * eps_t, u_max)
-        val, err = _adaptive_complex_quad(f, -u_max, u_max, pts)
-        values.append(val)
-        quad_errs.append(err)
-
-    extrapolated, residual = _extrapolate(values, spec.epsilon_list)
-    _convergence_check(extrapolated, residual, spec)
-
-    # 1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2, in a form that neither
-    # overflows at large x nor cancels at small x
-    x = alpha * u_max
-    window_tail = (T ** 3 * alpha * math.exp(-x)
-                   / (8.0 * math.pi * u_max * math.expm1(-x) ** 2)
-                   * min(alpha, 1.0 / u_max))
-    error = max(quad_errs) + residual + window_tail
-    return OracleResult(value=complex(extrapolated),
-                        error_estimate=float(error),
+    values, extrapolated, error = _epsilon_ladder(f, 2.0, [], alpha, T,
+                                                  u_max, spec)
+    return OracleResult(value=extrapolated,
+                        error_estimate=error,
                         representation="sinh2d",
-                        epsilon_values=tuple(complex(v) for v in values))
+                        epsilon_values=values)

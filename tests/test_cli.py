@@ -1,10 +1,16 @@
-"""End-to-end command-line checks (subprocess level)."""
+"""End-to-end command-line checks.
 
+``run`` calls ``cli.main`` in-process; ``run_process`` starts a fresh
+interpreter and is kept for the checks where the process is the point:
+the ``python -m unruh_otto.cli`` entry, byte determinism across runs and
+the atomic ``--out`` file.
+"""
+
+import contextlib
 import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -22,11 +28,28 @@ DELTA_P_GOLDEN = (
 )
 
 
-def run(*argv, check=False):
-    proc = subprocess.run(CLI + list(argv), capture_output=True, text=True)
+def _checked(proc, check):
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
+
+
+def run_process(*argv, check=False):
+    return _checked(subprocess.run(CLI + list(argv), capture_output=True,
+                                   text=True), check)
+
+
+def run(*argv, check=False):
+    """``cli.main(argv)`` with the record ``run_process`` returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:   # argparse rejects the flags
+            code = exc.code
+    proc = subprocess.CompletedProcess(CLI + list(argv), code,
+                                       out.getvalue(), err.getvalue())
+    return _checked(proc, check)
 
 
 def parse_csv(text):
@@ -34,8 +57,8 @@ def parse_csv(text):
 
 
 def test_delta_p_golden_bytes():
-    proc = run("delta-p", "--a", "40", "--p", "0.5", "--v", "0.8",
-               "--g", "1", check=True)
+    proc = run_process("delta-p", "--a", "40", "--p", "0.5", "--v", "0.8",
+                       "--g", "1", check=True)
     assert proc.stdout == DELTA_P_GOLDEN
 
 
@@ -146,16 +169,17 @@ def test_sweep_range_validation():
 def test_byte_determinism():
     args = ("solve-grid", "--a-min", "5", "--a-max", "50", "--count", "4",
             "--v", "0.8")
-    assert run(*args, check=True).stdout == run(*args, check=True).stdout
+    assert (run_process(*args, check=True).stdout
+            == run_process(*args, check=True).stdout)
 
 
 def test_out_file_is_atomic_and_identical(tmp_path):
     target = tmp_path / "rows.csv"
     args = ("trajectory", "--alpha", "1", "--v", "0.8", "--count", "5",
             "--out", str(target))
-    stdout_copy = run("trajectory", "--alpha", "1", "--v", "0.8",
-                      "--count", "5", check=True).stdout
-    run(*args, check=True)
+    stdout_copy = run_process("trajectory", "--alpha", "1", "--v", "0.8",
+                              "--count", "5", check=True).stdout
+    run_process(*args, check=True)
     assert target.read_text() == stdout_copy
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
@@ -296,10 +320,15 @@ def test_oracle_check_long_window_exits_3():
     (["--epsilon-list", "1e-2", "nan"],
      "epsilon_list entry must be positive and finite"),
     (["--abs-tol", "inf"], "abs_tol must be positive and finite"),
-], ids=["window-inf", "epsilon-nan", "abs-tol-inf"])
+    # each factor is finite, the product window * duration is not
+    (["--window", "1e308"], "window * T must be positive and finite"),
+    (["--window", "1e308", "--representation", "sinh2d"],
+     "window * T must be positive and finite"),
+], ids=["window-inf", "epsilon-nan", "abs-tol-inf", "window-T-overflow",
+        "window-T-overflow-sinh2d"])
 def test_oracle_check_non_finite_spec_exits_2(flags, message):
-    proc = run("oracle-check", "--alpha", "1", "--omega", "1",
-               "--duration", "1", *flags)
+    proc = run("oracle-check", "--alpha", "0.1", "--omega", "1",
+               "--duration", "10", *flags)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""

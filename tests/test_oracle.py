@@ -7,13 +7,14 @@ tolerance lives in the acceptance suite.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from scipy.integrate import quad
 
 from unruh_otto.cli import GRID_A, GRID_EPSILONS, GRID_V
 from unruh_otto.errors import DomainError, NonConvergenceError
-from unruh_otto.oracle import (QuadratureSpec, _window_weight,
+from unruh_otto.oracle import (QuadratureSpec, _window_tail, _window_weight,
                                integrate_imagesum_1d, integrate_sinh_2d)
 from unruh_otto.response import j_function, vacuum_response
 
@@ -72,6 +73,32 @@ def test_window_weight_is_the_exact_convolution(u, T):
     far, _ = quad(g, 2.0 * au + T, math.inf, limit=200,
                   epsabs=0.0, epsrel=1e-13)
     assert _window_weight(u, T) == pytest.approx(near + far, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, T, u_max", [
+    (0.05, 1.0, 0.5), (0.1, 2.0, 1.0), (2.0, 0.5, 0.5), (40.0, 0.015, 0.3)])
+def test_window_tail_bounds_the_cut(alpha, T, u_max):
+    # alpha * u_max = 0.025, 0.1, 1 and 12; |G| at eps = 0 with 1/sinh^2(x)
+    # taken as 4 e^{-2x} / (1 - e^{-2x})^2, which does not overflow
+    def cut(u):
+        x = 0.5 * alpha * u
+        inv_sinh2 = 4.0 * math.exp(-2.0 * x) / math.expm1(-2.0 * x) ** 2
+        return _window_weight(u, T) * alpha ** 2 / (16.0 * math.pi ** 2) * inv_sinh2
+
+    one_side, _ = quad(cut, u_max, math.inf, limit=200, epsabs=0.0,
+                       epsrel=1e-12)
+    assert _window_tail(alpha, T, u_max) >= 2.0 * one_side
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+@pytest.mark.parametrize("omega", [0.05, -0.05])
+def test_error_estimate_covers_short_window(integrate, omega):
+    # alpha * window * T = 0.05: most of the integral lies beyond the cut,
+    # so the estimate stands or falls with the window-tail bound
+    res = integrate(0.1, omega, 1.0, QuadratureSpec(window=0.5))
+    diff = abs(res.j_estimate - vacuum_response(0.1, omega, 1.0))
+    assert diff <= res.j_error_estimate
 
 
 @pytest.mark.parametrize("integrate, rep", [
@@ -159,6 +186,19 @@ def test_long_window_imagesum_is_typed_error():
         integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
 
 
+def test_long_window_imagesum_counts_poles_first():
+    # window = 1e6 holds 318308 image poles; they are counted before any
+    # list of them is built, so the typed error costs no memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError, match="break points"):
+            integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=1e6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_non_convergence_budget():
     # squeezing the error budget makes the leftover extrapolation residual
     # (a healthy ~1e-6 here) trip the 10x check
@@ -188,6 +228,7 @@ def test_spec_validation(bad):
 @pytest.mark.parametrize("args", [
     (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
     (1.0, 1.0, 0.0), (1.0, 1.0, -2.0), (1.0, math.nan, 1.0),
+    (0.1, 1.0, 10.0, QuadratureSpec(window=1e308)),
 ])
 def test_argument_domain(args):
     with pytest.raises(DomainError):
