@@ -81,7 +81,8 @@ def _write_payload(payload: str, out: Optional[str]) -> None:
 def _emit(args, header: Sequence[str], rows: List[tuple],
           parameters: Optional[dict] = None) -> None:
     """Write ``rows`` as CSV or JSON; the JSON ``parameters`` default to
-    every parsed flag except the subcommand and the output flags."""
+    every parsed flag except the subcommand, its handler and the output
+    flags."""
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -92,7 +93,7 @@ def _emit(args, header: Sequence[str], rows: List[tuple],
     else:
         if parameters is None:
             parameters = {name: value for name, value in vars(args).items()
-                          if name not in ("command", "format", "out")}
+                          if name not in ("command", "handler", "format", "out")}
         payload = json.dumps(
             {"metadata": {"command": args.command, "parameters": parameters,
                           "version": __version__},
@@ -256,16 +257,6 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_output_flags(parser: argparse.ArgumentParser,
-                      default_format: str = "csv") -> None:
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=default_format,
-                        help="output format (default: %(default)s)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to PATH atomically "
-                             "(default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unruh-otto",
@@ -274,52 +265,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "and quadrature cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("delta-p", help="single population-kick evaluation")
+    def command(name, handler, help_text, default_format="csv"):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("csv", "json"),
+                       default=default_format,
+                       help="output format (default: %(default)s)")
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to PATH atomically "
+                            "(default: stdout)")
+        return p
+
+    p = command("delta-p", _cmd_delta_p, "single population-kick evaluation")
     p.add_argument("--a", type=float, required=True, help="reduced acceleration")
     p.add_argument("--p", type=float, required=True, help="initial excited population")
     p.add_argument("--v", type=float, required=True, help="contact end speed")
     p.add_argument("--g", type=float, default=1.0, help="coupling (default 1)")
-    _add_output_flags(p)
 
-    p = sub.add_parser("j-fn", help="closed-form response function J(x, y)")
+    p = command("j-fn", _cmd_j_fn, "closed-form response function J(x, y)")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    _add_output_flags(p)
 
-    p = sub.add_parser("trajectory", help="sampled hyperbolic worldline")
+    p = command("trajectory", _cmd_trajectory, "sampled hyperbolic worldline")
     p.add_argument("--alpha", type=float, required=True, help="proper acceleration")
     p.add_argument("--v", type=float, required=True, help="end speed")
     p.add_argument("--count", type=int, default=41, help="number of samples (default 41)")
-    _add_output_flags(p)
 
-    p = sub.add_parser("sweep-a", help="population kick versus acceleration")
+    p = command("sweep-a", _cmd_sweep_a, "population kick versus acceleration")
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--g", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("sweep-p", help="population kick versus initial population")
+    p = command("sweep-p", _cmd_sweep_p,
+                "population kick versus initial population")
     p.add_argument("--p-min", type=float, required=True)
     p.add_argument("--p-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--g", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("solve-grid", help="cycle solution over an acceleration grid")
+    p = command("solve-grid", _cmd_solve_grid,
+                "cycle solution over an acceleration grid")
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--g", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("compare-classical",
-                       help="work per cycle versus the thermal-bath reference")
+    p = command("compare-classical", _cmd_compare_classical,
+                "work per cycle versus the thermal-bath reference")
     p.add_argument("--a-hot", type=float, required=True)
     p.add_argument("--a-cold", type=float, required=True)
     p.add_argument("--v", type=float, nargs="+", required=True,
@@ -327,11 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-diff", type=float, default=1.0,
                    help="omega2 - omega1 (default 1)")
     p.add_argument("--g", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("oracle-check",
-                       help="closed form versus quadrature oracle; "
-                            "no point flags runs the default grid")
+    p = command("oracle-check", _cmd_oracle_check,
+                "closed form versus quadrature oracle; "
+                "no point flags runs the default grid", default_format="json")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--duration", type=float, default=None,
@@ -340,34 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default="imagesum1d")
     p.add_argument("--epsilon-list", type=float, nargs="+", default=None,
                    metavar="EPS", help="regulator ladder in units of 1/alpha")
-    p.add_argument("--k-max", type=int, default=QuadratureSpec().k_max)
-    p.add_argument("--window", type=float, default=QuadratureSpec().window)
-    p.add_argument("--abs-tol", type=float, default=QuadratureSpec().abs_tol)
-    p.add_argument("--rel-tol", type=float, default=QuadratureSpec().rel_tol)
+    spec = QuadratureSpec()
+    p.add_argument("--k-max", type=int, default=spec.k_max)
+    p.add_argument("--window", type=float, default=spec.window)
+    p.add_argument("--abs-tol", type=float, default=spec.abs_tol)
+    p.add_argument("--rel-tol", type=float, default=spec.rel_tol)
     p.add_argument("--expect-fail", action="store_true",
                    help="flip the sign of omega on the oracle route only; "
                         "the check must then fail (exit 1)")
-    _add_output_flags(p, default_format="json")
 
     return parser
-
-
-_DISPATCH = {
-    "delta-p": _cmd_delta_p,
-    "j-fn": _cmd_j_fn,
-    "trajectory": _cmd_trajectory,
-    "sweep-a": _cmd_sweep_a,
-    "sweep-p": _cmd_sweep_p,
-    "solve-grid": _cmd_solve_grid,
-    "compare-classical": _cmd_compare_classical,
-    "oracle-check": _cmd_oracle_check,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,34 +9,36 @@ drives a logarithmic divergence as the short-distance regulator epsilon
 is removed, growing like log(1/epsilon)/(2 pi^2), whereas the Lorentzian-
 windowed integral converges and admits a closed form.
 
-Representations
----------------
+Window units
+------------
+Over the time separation u the window product collapses to the weight
+w_T(u) = pi T^3 / (4 (u^2 + T^2)).  In units s = u/T the integral reads
+
+    value = Integral_{|s| <= window} ds w_1(s) e^{i q s} K(s, eps),   K = T^2 G(s T),
+
+a function of y = alpha T and q = omega T alone: the two reduced numbers
+of the closed form J(omega/alpha, alpha T).  Each route rescales once on
+entry and supplies only its kernel K, its break points and its truncation
+bound:
+
 ``integrate_imagesum_1d``
-    One-dimensional integral of the image expansion of the correlation
-    function: a k = 0 double pole displaced by i*epsilon plus a truncated
-    tower of imaginary-axis image terms, integrated against the collapsed
-    window weight proportional to T^3/(u^2 + T^2) over a finite window.
+    the image expansion -[1/(s - i eps/y)^2 + images at s = +-2 pi i k/y] / (4 pi^2),
+    truncated at k = k_max;
 
 ``integrate_sinh_2d``
-    Double integral over both interaction times (tau, tau') of the window
-    product xi_T(tau) xi_T(tau') against the closed sinh form of the
-    correlation function.  In rotated coordinates the integral along the
-    diagonal is a Cauchy-Cauchy convolution, done exactly: the window
-    weight pi T^3 / (4 (u^2 + T^2)), so one adaptive pass over the time
-    separation u remains.  The window side is thus shared in form with the
-    1-D route; independence from it, and from the closed form, lies on the
-    kernel side (sinh form versus image expansion).
+    the sinh form -y^2 / (16 pi^2 sinh^2(y s / 2 - i eps)), from the double
+    integral over both interaction times, whose integral along the
+    diagonal is a Cauchy-Cauchy convolution done exactly (w_T above).
 
 The image sum is the partial-fraction expansion of the sinh form, so the
-two routes integrate the same function of u and share everything but the
-kernel: one argument check, one regulator ladder and one bound on the
-window tails.  Each route is evaluated at every regulator value in
+routes integrate the same function and are independent of each other, and
+of the closed form, only through the kernel.  One shared, scale-free path
+does the rest: it integrates at every regulator value in
 ``QuadratureSpec.epsilon_list`` (units of 1/alpha) and Richardson-
-extrapolated to epsilon -> 0 from the final pair; the spread between
+extrapolates to epsilon -> 0 from the final pair; the spread between
 successive extrapolants feeds the error estimate and a non-convergence
 check.  Both error estimates cover the quadrature error, that residual and
-the cut of the u-integral at ``window * T``; the 1-D route adds its
-image-sum truncation bound.
+the cut at |s| = window; the 1-D route adds its image-sum truncation bound.
 
 Normalization
 -------------
@@ -133,22 +135,27 @@ class OracleResult:
         return 2.0 * self.error_estimate
 
 
-def _u_max(alpha: float, omega: float, T: float, spec: QuadratureSpec) -> float:
-    """Check the arguments of either route; return the half-width window * T."""
+def _reduced(alpha: float, omega: float, T: float,
+             spec: QuadratureSpec) -> Tuple[float, float]:
+    """Check the arguments of either route; return y = alpha*T and q = omega*T."""
     check_positive("alpha", alpha)
     check_positive("T", T)
     if not math.isfinite(omega):
         raise DomainError("omega must be finite")
-    u_max = spec.window * T
-    check_positive("window * T", u_max)
-    return u_max
+    check_positive("window * T", spec.window * T)
+    y = alpha * T
+    check_positive("alpha * T", y)
+    q = omega * T
+    if not math.isfinite(q):
+        raise DomainError("omega * T must be finite")
+    return y, q
 
 
-def _spike_points(scale: float, u_max: float) -> list:
-    """Geometric ladder of subdivision points resolving a spike at u = 0."""
+def _spike_points(scale: float, half_width: float) -> list:
+    """Geometric ladder of subdivision points resolving a spike at 0."""
     pts = [0.0]
     s = scale
-    while s < u_max:
+    while s < half_width:
         pts.extend((s, -s))
         s *= 4.0
     return pts
@@ -177,6 +184,11 @@ def _check_break_points(count: float) -> None:
             f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
 
 
+def _window_weight(u: float, T: float) -> float:
+    """1/2 Integral dr xi_T((r+u)/2) xi_T((r-u)/2): a Cauchy-Cauchy convolution."""
+    return 0.25 * math.pi * T ** 3 / (u * u + T * T)
+
+
 def _window_tail(alpha: float, T: float, u_max: float) -> float:
     """Bound on the two tails of the u-integral cut off at |u| = u_max.
 
@@ -189,36 +201,49 @@ def _window_tail(alpha: float, T: float, u_max: float) -> float:
         T^3 alpha^2 min(1/u_max, 1/(alpha u_max^2)) / (32 pi sinh^2(alpha u_max / 2)),
 
     i.e. T^3 alpha e^{-alpha u_max} / (8 pi u_max^2) for long windows.
+    In window units it is called as (y, 1, window).
     """
-    # 1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2, in a form that neither
-    # overflows at large x nor cancels at small x
+    # 1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2 with x = alpha u_max, taken
+    # through x / (1 - e^{-x}), which neither overflows at large x nor
+    # cancels or underflows at small x
     x = alpha * u_max
-    return (T ** 3 * alpha * math.exp(-x)
-            / (8.0 * math.pi * u_max * math.expm1(-x) ** 2)
-            * min(alpha, 1.0 / u_max))
+    r = x / math.expm1(-x) / u_max
+    return (T ** 3 * math.exp(-x) * r * r / (8.0 * math.pi * u_max)
+            * min(1.0, 1.0 / x))
 
 
-def _epsilon_ladder(integrand, pole_height: float, poles: list,
-                    alpha: float, T: float, u_max: float, spec: QuadratureSpec):
-    """Integrate over |u| <= u_max at each regulator and extrapolate eps -> 0.
+def _integrate(kernel, pole_height: float, poles: list, y: float, q: float,
+               spec: QuadratureSpec, representation: str,
+               trunc: float = 0.0) -> OracleResult:
+    """Integrate w_1(s) e^{i q s} kernel(s, eps) over |s| <= window; eps -> 0.
 
-    ``integrand(u, eps)`` has its regulated pole at u = i pole_height eps
-    (eps in units of time); ``poles`` are further break points.  Returns
-    the values per regulator, the extrapolant and an error estimate: the
-    largest quadrature error + the extrapolation residual + the window
-    tails.  A residual beyond 10x the error budget is NonConvergenceError.
+    The kernel's regulated pole sits at s = i pole_height eps / y; ``poles``
+    are further break points.  Error: the largest quadrature error + the
+    extrapolation residual + the window tails + the truncation bound.
+    A pole not small against the Lorentzian width 1 or the cut, where the
+    extrapolation in eps has no footing, is NonConvergenceError.
     """
+    window = spec.window
+    pole = pole_height * spec.epsilon_list[0] / y
+    if not pole < min(1.0, window):
+        raise NonConvergenceError(
+            f"regulated pole at {pole:.3e} T is not below min(1, window) = "
+            f"{min(1.0, window):.3e}; choose smaller epsilon_list values")
+
+    def integrand(s, eps):
+        return _window_weight(s, 1.0) * np.exp(1j * q * s) * kernel(s, eps)
+
     values, quad_errs = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for eps_units in spec.epsilon_list:
-            eps_t = eps_units / alpha
-            pts = sorted(set(_spike_points(pole_height * eps_t, u_max) + poles))
+        for eps in spec.epsilon_list:
+            pts = sorted(set(_spike_points(pole_height * eps / y, window)
+                             + poles))
             _check_break_points(len(pts))
-            val, err = quad(integrand, -u_max, u_max, args=(eps_t,),
+            val, err = quad(integrand, -window, window, args=(eps,),
                             points=pts, limit=_QUAD_LIMIT, epsabs=1e-12,
                             epsrel=1e-10, complex_func=True)
-            values.append(val)
+            values.append(complex(val))
             quad_errs.append(abs(err))
 
     extrapolated, residual = _extrapolate(values, spec.epsilon_list)
@@ -227,63 +252,51 @@ def _epsilon_ladder(integrand, pole_height: float, poles: list,
         raise NonConvergenceError(
             f"epsilon extrapolants differ by {residual:.3e}, "
             f"exceeding 10x the error budget {budget / 10.0:.3e}")
-    error = max(quad_errs) + residual + _window_tail(alpha, T, u_max)
-    return (tuple(complex(v) for v in values), complex(extrapolated),
-            float(error))
+    error = max(quad_errs) + residual + _window_tail(y, 1.0, window) + trunc
+    return OracleResult(value=complex(extrapolated),
+                        error_estimate=float(error),
+                        representation=representation,
+                        epsilon_values=tuple(values),
+                        truncation_bound=trunc,
+                        truncation_dominated=trunc > spec.rel_tol * abs(extrapolated))
 
 
 def integrate_imagesum_1d(alpha: float, omega: float, T: float,
                           spec: QuadratureSpec = QuadratureSpec()) -> OracleResult:
     """Windowed response integral via the image expansion (1-D quadrature).
 
-    Evaluates  -T^3/(16 pi) * Integral du e^{i omega u} / (u^2 + T^2) *
-    [ 1/(u - i eps)^2  +  sum_{k=1}^{k_max} ( 1/(u - i c k)^2 + 1/(u + i c k)^2 ) ]
-    with c = 2 pi / alpha, over |u| <= window * T, at each regulator value,
-    then extrapolates eps -> 0.  The k-tail truncation bound
-    (alpha T)^2 / (32 pi^2 k_max) is folded into the error estimate.
-    Each image pole c k inside the window is a quadrature break point; a
-    window with 300 or more break points (about window * alpha * T / pi)
-    raises NonConvergenceError before the poles are listed.
+    In window units (module docstring), with y = alpha T and c = 2 pi / y,
+    evaluates  -1/(16 pi) Integral ds e^{i q s} / (s^2 + 1) *
+    [ 1/(s - i eps/y)^2 + sum_{k=1}^{k_max} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
+    over |s| <= window.  The k-tail truncation bound y^2 / (32 pi^2 k_max)
+    is folded into the error estimate.  Each image pole c k inside the
+    window is a quadrature break point; 300 or more break points (about
+    window * y / pi) raise NonConvergenceError before the poles are listed.
     """
-    u_max = _u_max(alpha, omega, T, spec)
-    c = TWO_PI / alpha
-    n_images = u_max // c
+    y, q = _reduced(alpha, omega, T, spec)
+    c = TWO_PI / y
+    n_images = spec.window // c
     _check_break_points(2.0 * n_images)
-    pref = -T ** 3 / (16.0 * math.pi)
 
-    # Exact image terms for c*k up to 6*u_max; beyond that the truncated
+    # Exact image terms for c*k up to 6*window; beyond that the truncated
     # sum is evaluated through its rapidly convergent expansion in
-    # u^2/(c k)^2 with precomputed partial power sums (still exact
+    # s^2/(c k)^2 with precomputed partial power sums (still exact
     # summation to k_max up to a relative remainder ~ (1/6)^10).
-    k_lo = min(spec.k_max, int(math.ceil(6.0 * u_max / c)))
+    k_lo = min(spec.k_max, int(math.ceil(6.0 * spec.window / c)))
     w_near = (c * np.arange(1, k_lo + 1, dtype=float)) ** 2
-    if k_lo < spec.k_max:
-        w_far = (c * np.arange(k_lo + 1, spec.k_max + 1, dtype=float)) ** 2
-        s1, s2, s3, s4, s5 = (float(np.sum(w_far ** (-m))) for m in range(1, 6))
-    else:
-        s1 = s2 = s3 = s4 = s5 = 0.0
+    w_far = (c * np.arange(k_lo + 1, spec.k_max + 1, dtype=float)) ** 2
+    p1, p2, p3, p4, p5 = (float(np.sum(w_far ** (-m))) for m in range(1, 6))
 
-    def image_sum(u2: float) -> float:
-        near = 2.0 * float(np.sum((u2 - w_near) / (u2 + w_near) ** 2))
-        far = 2.0 * (-s1 + u2 * (3.0 * s2 + u2 * (-5.0 * s3 + u2 * (7.0 * s4 - 9.0 * u2 * s5))))
-        return near + far
-
-    def f(u, eps_t):
-        k0 = 1.0 / (u - 1j * eps_t) ** 2
-        return (pref * np.exp(1j * omega * u) * (k0 + image_sum(u * u))
-                / (u * u + T * T))
+    def kernel(s, eps):
+        s2 = s * s
+        near = 2.0 * float(np.sum((s2 - w_near) / (s2 + w_near) ** 2))
+        far = 2.0 * (-p1 + s2 * (3.0 * p2 + s2 * (-5.0 * p3 + s2 * (7.0 * p4 - 9.0 * s2 * p5))))
+        return -(1.0 / (s - 1j * eps / y) ** 2 + near + far) / (4.0 * math.pi ** 2)
 
     image_points = [sign * c * k for k in range(1, int(n_images) + 1)
                     for sign in (1.0, -1.0)]
-    values, extrapolated, error = _epsilon_ladder(f, 1.0, image_points, alpha,
-                                                  T, u_max, spec)
-    trunc = (alpha * T) ** 2 / (32.0 * math.pi ** 2 * spec.k_max)
-    return OracleResult(value=extrapolated,
-                        error_estimate=error + trunc,
-                        representation="imagesum1d",
-                        epsilon_values=values,
-                        truncation_bound=trunc,
-                        truncation_dominated=trunc > spec.rel_tol * abs(extrapolated))
+    return _integrate(kernel, 1.0, image_points, y, q, spec, "imagesum1d",
+                      y * y / (32.0 * math.pi ** 2 * spec.k_max))
 
 
 def _inv_sinh_squared(x: complex) -> complex:
@@ -299,40 +312,26 @@ def _inv_sinh_squared(x: complex) -> complex:
     return 4.0 * q / (1.0 - q) ** 2
 
 
-def _window_weight(u: float, T: float) -> float:
-    """1/2 Integral ds xi_T((s+u)/2) xi_T((s-u)/2): a Cauchy-Cauchy convolution."""
-    return 0.25 * math.pi * T ** 3 / (u * u + T * T)
-
-
 def integrate_sinh_2d(alpha: float, omega: float, T: float,
                       spec: QuadratureSpec = QuadratureSpec()) -> OracleResult:
     """Windowed response integral of the sinh-form correlation function.
 
     Evaluates  Integral dtau dtau' xi_T(tau) xi_T(tau') e^{i omega (tau-tau')}
-    G(tau - tau')  with  G(u) = -alpha^2 / (16 pi^2 sinh^2(alpha u / 2 - i eps alpha)).
-    In rotated coordinates u = tau - tau', s = tau + tau' (Jacobian 1/2) the
-    s-integral of the window product is a Cauchy-Cauchy convolution with
-    the exact value
+    G(tau - tau')  with  G(u) = -alpha^2 / (16 pi^2 sinh^2(alpha u / 2 - i eps)).
+    In rotated coordinates u = tau - tau', r = tau + tau' (Jacobian 1/2)
+    the r-integral of the window product is the exact ``_window_weight``
 
-        1/2 Integral ds T^4 / (((s+u)^2 + T^2) ((s-u)^2 + T^2)) = pi T^3 / (4 (u^2 + T^2)),
+        1/2 Integral dr T^4 / (((r+u)^2 + T^2) ((r-u)^2 + T^2)) = pi T^3 / (4 (u^2 + T^2)),
 
-    so one adaptive u-quadrature over |u| <= window * T per regulator value
-    remains; the regulator is extrapolated away as in the 1-D
-    representation, and the window tails are bounded by ``_window_tail``.
-    The kernel is evaluated in a form that decays far from the diagonal,
-    so long windows do not overflow.  ``spec.k_max`` plays no role here.
+    so in window units (module docstring) one adaptive quadrature over
+    |s| <= window remains per regulator value.  The kernel is evaluated in
+    a form that decays far from the diagonal, so long windows do not
+    overflow.  ``spec.k_max`` plays no role here.
     """
-    u_max = _u_max(alpha, omega, T, spec)
-    pref = -alpha ** 2 / (16.0 * math.pi ** 2)
+    y, q = _reduced(alpha, omega, T, spec)
+    pref = -y * y / (16.0 * math.pi ** 2)
 
-    def f(u, eps_t):
-        arg = 0.5 * alpha * u - 1j * eps_t * alpha
-        return (_window_weight(u, T) * np.exp(1j * omega * u)
-                * pref * _inv_sinh_squared(arg))
+    def kernel(s, eps):
+        return pref * _inv_sinh_squared(0.5 * y * s - 1j * eps)
 
-    values, extrapolated, error = _epsilon_ladder(f, 2.0, [], alpha, T,
-                                                  u_max, spec)
-    return OracleResult(value=extrapolated,
-                        error_estimate=error,
-                        representation="sinh2d",
-                        epsilon_values=values)
+    return _integrate(kernel, 2.0, [], y, q, spec, "sinh2d")

@@ -37,6 +37,7 @@ marks the region where the perturbative treatment loses validity (see
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -89,7 +90,10 @@ def j_function(x: float, y: float) -> float:
         return (lerch_phi(z, s, b) if z < 1.0
                 else _log_z_series(-TWO_PI * ax, s, b, DEFAULT_TOL))
 
-    value = (0.5 * y) ** 2 * math.exp(-ax * y) / (8.0 * sin_half ** 2) - 0.125
+    if sin_half ** 2 >= sys.float_info.min:
+        value = (0.5 * y) ** 2 * math.exp(-ax * y) / (8.0 * sin_half ** 2) - 0.125
+    else:  # sin(y/2)^2 underflows, and (y/2) / sin(y/2) rounds to 1
+        value = math.exp(-ax * y) / 8.0 - 0.125
     if x > 0.0:
         value += 0.25 * ax * y
     d2 = phi(2, 1.0 + shift) - phi(2, 1.0 - shift)

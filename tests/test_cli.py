@@ -334,6 +334,37 @@ def test_oracle_check_non_finite_spec_exits_2(flags, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+@pytest.mark.parametrize("alpha, duration", [
+    ("1e150", "1e-150"), ("1e-100", "1e100"), ("1e-200", "1e200")])
+def test_oracle_check_is_scale_free(alpha, duration, representation):
+    # (alpha T, omega T) = (1, 1) at every scale; T^3 gave nan, a miss
+    # beyond the estimate and an OverflowError at these three scales
+    proc = run("oracle-check", "--alpha", alpha, "--omega", alpha,
+               "--duration", duration, "--representation", representation,
+               check=True)
+    assert json.loads(proc.stdout)["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+@pytest.mark.parametrize("flags", [
+    ["--duration", "1e-110"], ["--duration", "0.001", "--window", "1e-320"]],
+    ids=["short-duration", "tiny-window"])
+def test_oracle_check_regulator_beyond_window_exits_3(flags, representation):
+    # the regulated pole lies outside the window: a ZeroDivisionError before
+    proc = run("oracle-check", "--alpha", "1", "--omega", "1", *flags,
+               "--representation", representation)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: regulated pole")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_j_fn_where_sin_squared_underflows():
+    proc = run("j-fn", "--x", "-0.025", "--y", "1e-200", check=True)
+    assert math.isfinite(float(parse_csv(proc.stdout)[0]["j"]))
+
+
 def test_oracle_check_csv_format():
     duration = repr(2.0 * math.atanh(0.8) / 40.0)
     proc = run("oracle-check", "--alpha", "40", "--omega", "-1",

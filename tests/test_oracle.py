@@ -90,6 +90,13 @@ def test_window_tail_bounds_the_cut(alpha, T, u_max):
     assert _window_tail(alpha, T, u_max) >= 2.0 * one_side
 
 
+def test_window_tail_small_alpha_limit():
+    # alpha u_max = 4e-199: the bound tends to T^3 / (8 pi u_max^3); the
+    # squared expm1 underflowed to 0 and divided by zero before
+    assert _window_tail(2e-200, 1.0, 20.0) == pytest.approx(
+        1.0 / (8.0 * math.pi * 20.0 ** 3), rel=1e-12)
+
+
 @pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
                                        integrate_sinh_2d])
 @pytest.mark.parametrize("omega", [0.05, -0.05])
@@ -151,8 +158,33 @@ def test_regulator_ladder_contracts():
 
 
 def test_vanishing_window():
-    res = integrate_sinh_2d(1.0, 1.0, 1e-6)
-    assert abs(res.value) < 1e-3
+    # alpha T = 1e-6 puts the default regulated pole (eps = 1e-2) 1e4 window
+    # durations off the axis, where the eps ladder returned value 4.2e-9 and
+    # j_estimate -0.125 instead of J = 1.25e-7; a fine enough ladder finds
+    # the vanishing-window limit value -> 1/16 and J
+    for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
+        with pytest.raises(NonConvergenceError, match="regulated pole"):
+            integrate(1.0, 1.0, 1e-6)
+        res = integrate(1.0, 1.0, 1e-6,
+                        QuadratureSpec(epsilon_list=(1e-8, 5e-9, 2.5e-9)))
+        diff = abs(res.j_estimate - vacuum_response(1.0, 1.0, 1e-6))
+        assert diff <= res.j_error_estimate
+        assert res.value.real == pytest.approx(1.0 / 16.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e50, 1e150])
+def test_scale_invariance(integrate, scale):
+    # the integral depends on alpha T and omega T alone; T^3 and alpha^2
+    # gave nan at 1e50 and 1e150, a miss at 1e-100 and OverflowError at 1e-200
+    unit = integrate(1.0, 1.0, 1.0)
+    res = integrate(scale, scale, 1.0 / scale)
+    assert res.j_estimate == pytest.approx(unit.j_estimate, rel=1e-9)
+    assert res.j_error_estimate == pytest.approx(unit.j_error_estimate,
+                                                 rel=1e-9)
+    diff = abs(res.j_estimate - vacuum_response(scale, scale, 1.0 / scale))
+    assert diff <= res.j_error_estimate
 
 
 def test_truncation_bound_covers_k_sensitivity():

@@ -48,6 +48,15 @@ def test_vanishing_window():
         assert abs(j_function(x, 1e-6)) < 1e-6
 
 
+@pytest.mark.parametrize("y", [1e-200, 1e-300, 5e-324])
+@pytest.mark.parametrize("x", [0.025, 2.0])
+def test_asymmetry_where_sin_squared_underflows(x, y):
+    # sin(y/2)^2 underflows to 0 here; it divided by zero before
+    plus, minus = j_function(x, y), j_function(-x, y)
+    assert math.isfinite(plus) and math.isfinite(minus)
+    assert abs(plus - minus - x * y / 4.0) <= 1e-15
+
+
 def test_small_window_slope():
     # J ~ sign(x) |x| y / 8 for y -> 0
     x, y = 0.7, 1e-4
