@@ -33,7 +33,8 @@ bound:
 The image sum is the partial-fraction expansion of the sinh form, so the
 routes integrate the same function and are independent of each other, and
 of the closed form, only through the kernel.  One shared, scale-free path
-does the rest: it integrates at every regulator value in
+does the rest: it integrates, as one real quadrature over [0, window]
+(``OracleResult`` says why that is exact), at every regulator value in
 ``QuadratureSpec.epsilon_list`` (units of 1/alpha) and Richardson-
 extrapolates to epsilon -> 0 from the final pair; the spread between
 successive extrapolants feeds the error estimate and a non-convergence
@@ -62,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, NonConvergenceError, check_positive
 
@@ -113,10 +113,13 @@ class QuadratureSpec:
 class OracleResult:
     """Extrapolated quadrature value with an honest error estimate.
 
-    ``value`` is the raw windowed integral (complex; the imaginary part
-    must vanish within ``error_estimate``).  ``epsilon_values`` records
-    the pre-extrapolation integral at each regulator value for
-    convergence diagnostics.
+    ``value`` is the raw windowed integral.  It is complex, and its
+    imaginary part is exactly 0.0: both kernels satisfy
+    K(-s, eps) = conj K(s, eps) and the window weight is even, so the
+    integrand at -s is the conjugate of that at s and the integral over
+    |s| <= window is twice the real part of the one over [0, window].
+    ``epsilon_values`` records the pre-extrapolation integral at each
+    regulator value for convergence diagnostics.
     """
     value: complex
     error_estimate: float
@@ -152,11 +155,12 @@ def _reduced(alpha: float, omega: float, T: float,
 
 
 def _spike_points(scale: float, half_width: float) -> list:
-    """Geometric ladder of subdivision points resolving a spike at 0."""
-    pts = [0.0]
+    """Geometric ladder of subdivision points resolving a spike at 0, on
+    the positive side."""
+    pts = []
     s = scale
     while s < half_width:
-        pts.extend((s, -s))
+        pts.append(s)
         s *= 4.0
     return pts
 
@@ -182,6 +186,19 @@ def _check_break_points(count: float) -> None:
         raise NonConvergenceError(
             f"{count:.6g} break points leave no room within the "
             f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
+
+
+def quad(func, a: float, b: float, **kwargs):
+    """scipy.integrate.quad with its IntegrationWarning silenced.
+
+    scipy is imported on the first call, so that the closed form and the
+    CLI start without it.
+    """
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as scipy_quad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(func, a, b, **kwargs)
 
 
 def _window_weight(u: float, T: float) -> float:
@@ -217,9 +234,12 @@ def _integrate(kernel, pole_height: float, poles: list, y: float, q: float,
                trunc: float = 0.0) -> OracleResult:
     """Integrate w_1(s) e^{i q s} kernel(s, eps) over |s| <= window; eps -> 0.
 
-    The kernel's regulated pole sits at s = i pole_height eps / y; ``poles``
-    are further break points.  Error: the largest quadrature error + the
-    extrapolation residual + the window tails + the truncation bound.
+    The integrand at -s is the conjugate of that at s (``OracleResult``),
+    so one real quadrature over [0, window] gives the value, doubled.  The
+    kernel's regulated pole sits at s = i pole_height eps / y; ``poles``
+    are the further break points in (0, window].  Error: the largest
+    quadrature error + the extrapolation residual + the window tails + the
+    truncation bound.
     A pole not small against the Lorentzian width 1 or the cut, where the
     extrapolation in eps has no footing, is NonConvergenceError.
     """
@@ -231,20 +251,17 @@ def _integrate(kernel, pole_height: float, poles: list, y: float, q: float,
             f"{min(1.0, window):.3e}; choose smaller epsilon_list values")
 
     def integrand(s, eps):
-        return _window_weight(s, 1.0) * np.exp(1j * q * s) * kernel(s, eps)
+        return (_window_weight(s, 1.0) * cmath.exp(1j * q * s)
+                * kernel(s, eps)).real
 
     values, quad_errs = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for eps in spec.epsilon_list:
-            pts = sorted(set(_spike_points(pole_height * eps / y, window)
-                             + poles))
-            _check_break_points(len(pts))
-            val, err = quad(integrand, -window, window, args=(eps,),
-                            points=pts, limit=_QUAD_LIMIT, epsabs=1e-12,
-                            epsrel=1e-10, complex_func=True)
-            values.append(complex(val))
-            quad_errs.append(abs(err))
+    for eps in spec.epsilon_list:
+        pts = sorted(set(_spike_points(pole_height * eps / y, window) + poles))
+        _check_break_points(2 * len(pts) + 1)  # both sides and 0
+        val, err = quad(integrand, 0.0, window, args=(eps,), points=pts,
+                        limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
+        values.append(complex(2.0 * val))
+        quad_errs.append(2.0 * abs(err))
 
     extrapolated, residual = _extrapolate(values, spec.epsilon_list)
     budget = 10.0 * (spec.abs_tol + spec.rel_tol * abs(extrapolated))
@@ -277,7 +294,14 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     c = TWO_PI / y
     n_images = spec.window // c
     _check_break_points(2.0 * n_images)
+    image_points = [c * k for k in range(1, int(n_images) + 1)]
+    return _integrate(_image_kernel(y, spec), 1.0, image_points, y, q, spec,
+                      "imagesum1d", y * y / (32.0 * math.pi ** 2 * spec.k_max))
 
+
+def _image_kernel(y: float, spec: QuadratureSpec):
+    """K(s, eps) of ``integrate_imagesum_1d``: the image sum to spec.k_max."""
+    c = TWO_PI / y
     # Exact image terms for c*k up to 6*window; beyond that the truncated
     # sum is evaluated through its rapidly convergent expansion in
     # s^2/(c k)^2 with precomputed partial power sums (still exact
@@ -293,10 +317,7 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
         far = 2.0 * (-p1 + s2 * (3.0 * p2 + s2 * (-5.0 * p3 + s2 * (7.0 * p4 - 9.0 * s2 * p5))))
         return -(1.0 / (s - 1j * eps / y) ** 2 + near + far) / (4.0 * math.pi ** 2)
 
-    image_points = [sign * c * k for k in range(1, int(n_images) + 1)
-                    for sign in (1.0, -1.0)]
-    return _integrate(kernel, 1.0, image_points, y, q, spec, "imagesum1d",
-                      y * y / (32.0 * math.pi ** 2 * spec.k_max))
+    return kernel
 
 
 def _inv_sinh_squared(x: complex) -> complex:
@@ -329,9 +350,14 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
     overflow.  ``spec.k_max`` plays no role here.
     """
     y, q = _reduced(alpha, omega, T, spec)
+    return _integrate(_sinh_kernel(y), 2.0, [], y, q, spec, "sinh2d")
+
+
+def _sinh_kernel(y: float):
+    """K(s, eps) of ``integrate_sinh_2d``."""
     pref = -y * y / (16.0 * math.pi ** 2)
 
     def kernel(s, eps):
         return pref * _inv_sinh_squared(0.5 * y * s - 1j * eps)
 
-    return _integrate(kernel, 2.0, [], y, q, spec, "sinh2d")
+    return kernel

@@ -96,6 +96,8 @@ def j_function(x: float, y: float) -> float:
         value = math.exp(-ax * y) / 8.0 - 0.125
     if x > 0.0:
         value += 0.25 * ax * y
+    if z == 0.0:  # both Lerch terms are +0.0, and |x| y^2 may be inf
+        return value
     d2 = phi(2, 1.0 + shift) - phi(2, 1.0 - shift)
     d1 = phi(1, 1.0 + shift) - phi(1, 1.0 - shift)
     value += y * y * z / (32.0 * math.pi ** 2) * d2

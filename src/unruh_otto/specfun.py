@@ -46,13 +46,24 @@ Log-z expansion
     switch about five terms certify tol = 1e-12.  The switch is not lower
     because reduced accelerations up to 100, where the CLI's examples and
     tests live, keep the direct branch's exact output.
+
+psi and zeta without scipy
+    The expansion needs psi(a) and zeta(n, a), n = 2 .. s, for 0 < a <= 2.
+    Both recur upward, psi(a) = psi(a + N) - sum_{k<N} 1/(a + k) and
+    zeta(n, a) = zeta(n, a + N) + sum_{k<N} (a + k)^-n, with N = 8, and
+    take the shifted value from its asymptotic series in B_2j / x^2j
+    (DLMF 5.11.2, 25.11.43).  psi is summed as psi(1 + t) + gamma =
+    t sum_{k<N} 1/(k (k + t)) + psi(N + t) - psi(N), which cancels only
+    near its zero, and zeta smallest term first; both are within about one
+    ulp (of max(1, |psi|) for psi).  The Bernoulli numbers are exact
+    rationals (Akiyama-Tanigawa), rounded once per coefficient.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, zeta
 
 from .errors import DomainError, ResourceLimitError, check_positive
 
@@ -66,23 +77,111 @@ _LOG_Z_SWITCH = 2.0 * math.pi / 100.0
 # Highest Bernoulli order the expansion uses; at r <= 1/100 it certifies
 # any tol above ~1e-60, and smaller ones fall back to direct summation.
 _MAX_ORDER = 30
+# psi and zeta recur from 0 < a <= 2 up to about a + _SHIFT (at least 7.5),
+# where _SERIES_TERMS terms of their asymptotic series leave a remainder
+# below 1e-18 of the value.
+_SHIFT = 8
+_SERIES_TERMS = 12
+
+
+@functools.cache
+def _bernoulli_numbers() -> tuple:
+    """B_0 .. B_{_MAX_ORDER} as exact fractions (Akiyama-Tanigawa), B_1 = -1/2."""
+    numbers, row = [], []
+    for m in range(_MAX_ORDER + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        numbers.append(row[0])
+    numbers[1] = -numbers[1]  # the algorithm gives B_1 = +1/2
+    return tuple(numbers)
 
 
 @functools.cache
 def _bernoulli_polynomials() -> tuple:
-    """Coefficients of B_0(x) .. B_{_MAX_ORDER}(x), highest power first.
-
-    B_n(x) = sum_i C(n, i) B_{n-i} x^i, with the Bernoulli numbers
-    B_0 = 1, B_1 = -1/2, B_odd = 0 beyond, and
-    B_2j = (-1)^(j+1) 2 (2j)! zeta(2j) / (2 pi)^(2j).
-    """
-    numbers = [1.0, -0.5] + [0.0] * (_MAX_ORDER - 1)
-    for n in range(2, _MAX_ORDER + 1, 2):
-        numbers[n] = ((-1.0) ** (n // 2 + 1) * 2.0 * math.factorial(n)
-                      * float(zeta(float(n))) / (2.0 * math.pi) ** n)
-    return tuple(tuple(math.comb(n, i) * numbers[n - i]
+    """Coefficients of B_0(x) .. B_{_MAX_ORDER}(x), highest power first:
+    B_n(x) = sum_i C(n, i) B_{n-i} x^i, each rounded once from the exact
+    rational."""
+    numbers = _bernoulli_numbers()
+    return tuple(tuple(float(math.comb(n, i) * numbers[n - i])
                        for i in range(n, -1, -1))
                  for n in range(_MAX_ORDER + 1))
+
+
+@functools.cache
+def _digamma_series() -> tuple:
+    """B_2j / (2j) for j = _SERIES_TERMS .. 1, and their sum weighted by
+    _SHIFT^-2j: the series of psi(x) (DLMF 5.11.2) and its value at _SHIFT."""
+    numbers = _bernoulli_numbers()
+    terms = [numbers[2 * j] / (2 * j) for j in range(_SERIES_TERMS, 0, -1)]
+    at_shift = sum(numbers[2 * j] / (2 * j * _SHIFT ** (2 * j))
+                   for j in range(1, _SERIES_TERMS + 1))
+    return tuple(map(float, terms)), float(at_shift)
+
+
+def _digamma_1p(t: float) -> float:
+    """psi(1 + t) for -1/2 <= t <= 1.
+
+    With N = _SHIFT, psi(1 + t) + gamma = t sum_{k<N} 1/(k (k + t))
+    + psi(N + t) - psi(N): the first part has no cancellation, and the
+    difference comes from the asymptotic series, whose B_2j terms enter
+    as a difference against their value at N.
+    """
+    total = 0.0
+    for k in range(_SHIFT - 1, 0, -1):
+        total += 1.0 / (k * (k + t))
+    x = _SHIFT + t
+    u = 1.0 / (x * x)
+    coefficients, at_shift = _digamma_series()
+    series = 0.0
+    for c in coefficients:
+        series = series * u + c
+    difference = (math.log1p(t / _SHIFT) + t / (2.0 * _SHIFT * x)
+                  - (series * u - at_shift))
+    return t * total + difference - np.euler_gamma
+
+
+# j_function asks for psi at its two shifts once with s = 2 and once with s = 1
+@functools.lru_cache(maxsize=2)
+def _digamma(a: float) -> float:
+    """psi(a) for 0 < a <= 2, within about one ulp of max(1, |psi(a)|)."""
+    if a < 0.5:
+        return _digamma_1p(a) - 1.0 / a
+    return _digamma_1p(a - 1.0)  # a - 1 is exact on [1/2, 2]
+
+
+@functools.cache
+def _zeta_series(n: int) -> tuple:
+    """B_2j (n)_(2j-1) / (2j)! for j = _SERIES_TERMS .. 1 (DLMF 25.11.43)."""
+    numbers = _bernoulli_numbers()
+    coefficients = []
+    for j in range(_SERIES_TERMS, 0, -1):
+        rising = math.prod(range(n, n + 2 * j - 1))
+        coefficients.append(float(numbers[2 * j] * rising
+                                  / math.factorial(2 * j)))
+    return tuple(coefficients)
+
+
+def _hurwitz_zeta(n: int, a: float) -> float:
+    """zeta(n, a) = sum_k (a + k)^-n for integer n >= 2 and 0 < a <= 2.
+
+    The first _SHIFT terms are summed smallest first, after the asymptotic
+    series at x = a + _SHIFT:
+    x^(1-n)/(n-1) + x^-n/2 + sum_j B_2j (n)_(2j-1) x^(1-n-2j) / (2j)!.
+    A value beyond the float range is inf.
+    """
+    x = a + _SHIFT
+    u = 1.0 / (x * x)
+    series = 0.0
+    for c in _zeta_series(n):
+        series = series * u + c
+    total = x ** -n * (x / (n - 1) + 0.5 + series / x)
+    try:
+        for k in range(_SHIFT - 1, -1, -1):
+            total += (a + k) ** -n
+    except OverflowError:
+        return math.inf
+    return total
 
 
 def _log_z_series(w: float, s: int, a: float, tol: float):
@@ -90,10 +189,11 @@ def _log_z_series(w: float, s: int, a: float, tol: float):
     and 0 < a <= 2; None if _MAX_ORDER terms cannot certify ``tol``."""
     r = -w / (2.0 * math.pi)
     scale = math.exp(-a * w)  # z^-a
-    total = sum(float(zeta(float(s - n), a)) * w ** n / math.factorial(n)
-                for n in range(s - 1))
-    harmonic = sum(1.0 / j for j in range(1, s))
-    total += ((harmonic - np.euler_gamma - float(digamma(a)) - math.log(-w))
+    total = harmonic = 0.0
+    for n in range(s - 1):
+        total += _hurwitz_zeta(s - n, a) * w ** n / math.factorial(n)
+        harmonic += 1.0 / (n + 1)
+    total += ((harmonic - np.euler_gamma - _digamma(a) - math.log(-w))
               * w ** (s - 1) / math.factorial(s - 1))
 
     # zeta(-k, a) from B_{k+1} on (0, 1], reflected onto [0, 1/2] by
@@ -101,23 +201,26 @@ def _log_z_series(w: float, s: int, a: float, tol: float):
     shifted = a > 1.0
     b = a - 1.0 if shifted else a
     x, flip = (1.0 - b, -1.0) if b > 0.5 else (b, 1.0)
+    sign = -flip  # -flip^n
     polynomials = _bernoulli_polynomials()
     power = w ** s / math.factorial(s)  # w^(s+k) / (s+k)!
+    bound = scale * math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r / (1.0 - r)
     for k in range(_MAX_ORDER):
         n = k + 1
         bernoulli = 0.0
         for c in polynomials[n]:
             bernoulli = bernoulli * x + c
-        term = -flip ** n * bernoulli / n
+        term = sign * bernoulli / n
+        sign *= flip
         if shifted:
             term -= b ** k
         total += term * power
         power *= w / (s + n)
-        tail = (math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r ** (n + 1)
-                / ((n + 1) ** s * (1.0 - r)))
+        bound *= r  # z^-a times the first part of the bound, times (n+1)^s
+        tail = bound / (n + 1) ** s
         if shifted:
-            tail += abs(power) / (1.0 + w)
-        if scale * tail <= tol:
+            tail += scale * abs(power) / (1.0 + w)
+        if tail <= tol:
             return scale * total
     return None
 

@@ -365,6 +365,32 @@ def test_j_fn_where_sin_squared_underflows():
     assert math.isfinite(float(parse_csv(proc.stdout)[0]["j"]))
 
 
+def test_j_fn_where_lerch_weight_underflows():
+    # printed nan: |x| y^2 overflowed to inf and met z = 0
+    proc = run("j-fn", "--x", "1e308", "--y", "5", check=True)
+    assert float(parse_csv(proc.stdout)[0]["j"]) == 1.25e308
+
+
+def test_closed_form_and_cli_load_no_scipy():
+    # the log-z branch (a = 1000, 3e6) needs psi and zeta; the oracles
+    # alone import scipy, on their first quadrature
+    code = (
+        "import sys, unruh_otto, unruh_otto.cli\n"
+        "from unruh_otto import cli\n"
+        "for argv in (['j-fn', '--x', '-0.001', '--y', '2'],\n"
+        "             ['delta-p', '--a', '3e6', '--p', '0.3', '--v', '0.8'],\n"
+        "             ['oracle-check', '--help']):\n"
+        "    try:\n"
+        "        assert cli.main(argv) == 0\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_oracle_check_csv_format():
     duration = repr(2.0 * math.atanh(0.8) / 40.0)
     proc = run("oracle-check", "--alpha", "40", "--omega", "-1",

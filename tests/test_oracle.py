@@ -6,7 +6,9 @@ within its own error estimate; the grid agreement within the acceptance
 tolerance lives in the acceptance suite.
 """
 
+import cmath
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -14,10 +16,12 @@ from scipy.integrate import quad
 
 from unruh_otto.cli import GRID_A, GRID_EPSILONS, GRID_V
 from unruh_otto.errors import DomainError, NonConvergenceError
-from unruh_otto.oracle import (QuadratureSpec, _window_tail, _window_weight,
+from unruh_otto.oracle import (QuadratureSpec, _image_kernel, _sinh_kernel,
+                               _window_tail, _window_weight,
                                integrate_imagesum_1d, integrate_sinh_2d)
 from unruh_otto.response import j_function, vacuum_response
 
+EPS = 2.0 ** -52
 Y8 = 2.0 * math.atanh(0.8)
 Y5 = 2.0 * math.atanh(0.5)
 
@@ -132,9 +136,45 @@ def test_cross_representation_agreement():
 
 
 def test_real_valuedness():
+    # one real quadrature over [0, window]; test_kernel_conjugate_symmetry
+    # checks the symmetry that makes this exact
     for res in (integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0),
                 integrate_sinh_2d(1.0, 0.5, 1.0)):
-        assert abs(res.value.imag) <= res.error_estimate
+        assert res.value.imag == 0.0
+        assert all(v.imag == 0.0 for v in res.epsilon_values)
+
+
+@pytest.mark.parametrize("make_kernel", [
+    lambda y: _image_kernel(y, QuadratureSpec()), _sinh_kernel])
+def test_kernel_conjugate_symmetry(make_kernel):
+    # K(-s, eps) = conj K(s, eps): with the even window weight, the
+    # integrand's imaginary part is odd and integrates to 0 over |s| <= window
+    rng = random.Random(14)
+    for _ in range(20):
+        y = 10.0 ** rng.uniform(-2.0, math.log10(6.0))
+        kernel = make_kernel(y)
+        for _ in range(10):
+            s = rng.uniform(0.0, 20.0)
+            eps = 10.0 ** rng.uniform(-4.0, -2.0)
+            plus, minus = kernel(s, eps), kernel(-s, eps)
+            assert abs(minus - plus.conjugate()) <= 4 * EPS * abs(plus)
+
+
+def test_half_window_matches_full_complex_quadrature():
+    # the value the full-width complex quadrature gives, at one regulator
+    y, q, eps, window = Y8, -Y8 / 40.0, 2.5e-3, 20.0
+    kernel = _sinh_kernel(y)
+
+    def integrand(s):
+        return _window_weight(s, 1.0) * cmath.exp(1j * q * s) * kernel(s, eps)
+    spikes = [2.0 * eps / y * 4.0 ** i for i in range(8)]
+    pts = sorted({0.0} | {sign * p for p in spikes if p < window
+                          for sign in (1.0, -1.0)})
+    full = quad(integrand, -window, window, points=pts, limit=300,
+                epsabs=1e-12, epsrel=1e-10, complex_func=True)[0]
+    spec = QuadratureSpec(epsilon_list=(eps, eps / 2.0))
+    half = integrate_sinh_2d(y, q, 1.0, spec).epsilon_values[0]
+    assert abs(half - full) <= 1e-9 * abs(full)
 
 
 def test_frequency_reversal_odd_part():

@@ -10,6 +10,7 @@ from unruh_otto.response import (V_MAX, delta_p, delta_p_unreduced,
                                  j_function, perturbative_validity, v_max_for,
                                  vacuum_response)
 
+EPS = 2.0 ** -52
 Y8 = 2.0 * math.atanh(0.8)
 Y5 = 2.0 * math.atanh(0.5)
 
@@ -55,6 +56,17 @@ def test_asymmetry_where_sin_squared_underflows(x, y):
     plus, minus = j_function(x, y), j_function(-x, y)
     assert math.isfinite(plus) and math.isfinite(minus)
     assert abs(plus - minus - x * y / 4.0) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [1e300, 1e308])
+def test_asymmetry_where_lerch_weight_underflows(x):
+    # z = e^{-2 pi |x|} is 0 here, and |x| y^2 overflowed into inf * 0
+    y = 5.0
+    for signed in (x, -x):
+        plus, minus = j_function(signed, y), j_function(-signed, y)
+        assert math.isfinite(plus) and math.isfinite(minus)
+        expected = 0.25 * signed * y
+        assert abs(plus - minus - expected) <= 4 * EPS * abs(expected)
 
 
 def test_small_window_slope():

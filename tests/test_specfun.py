@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruh_otto.errors import DomainError, ResourceLimitError
-from unruh_otto.specfun import lerch_phi
+from unruh_otto.specfun import (_bernoulli_numbers, _digamma, _hurwitz_zeta,
+                                lerch_phi)
 
 # independently computed with 50-digit working precision
 GOLDEN = 0.9522918415301704  # z=0.9, s=2, a=1.3
@@ -137,3 +139,49 @@ def test_decreasing_in_a(z, a1, bump, s):
 def test_s2_below_s1(z, a):
     # term-wise 1/(k+a)^2 <= 1/(k+a) once a >= 1
     assert lerch_phi(z, 2, a) <= lerch_phi(z, 1, a) + 1e-15
+
+
+def test_bernoulli_numbers_are_exact():
+    numbers = _bernoulli_numbers()
+    assert numbers[:5] == (1, Fraction(-1, 2), Fraction(1, 6), 0,
+                           Fraction(-1, 30))
+    assert numbers[30] == Fraction(8615841276005, 14322)
+    assert all(b == 0 for b in numbers[3::2])
+
+
+# a log-uniform over [1e-6, 2], the range the log-z expansion asks for.
+# The bounds are the largest errors of scipy.special.digamma and zeta over
+# 3005 such points against 30-digit mpmath, which these replace.
+LOG_A = st.floats(-6.0, math.log10(2.0))
+
+
+@given(log_a=LOG_A)
+@settings(max_examples=300, deadline=None)
+def test_digamma_matches_mpmath(log_a):
+    a = min(2.0, 10.0 ** log_a)
+    with mpmath.workdps(30):
+        expected = mpmath.digamma(mpmath.mpf(a))
+        assert abs(_digamma(a) - expected) <= 3.4e-16 * max(1, abs(expected))
+
+
+@given(log_a=LOG_A, n=st.sampled_from([2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_hurwitz_zeta_matches_mpmath(log_a, n):
+    a = min(2.0, 10.0 ** log_a)
+    with mpmath.workdps(30):
+        expected = mpmath.zeta(n, mpmath.mpf(a))
+        assert abs(_hurwitz_zeta(n, a) - expected) <= 8.0e-16 * expected
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.5, 1.0, 1.4616321449683622, 2.0])
+def test_digamma_and_zeta_at_edges(a):
+    with mpmath.workdps(30):
+        psi = mpmath.digamma(mpmath.mpf(a))
+        assert abs(_digamma(a) - psi) <= 3.4e-16 * max(1, abs(psi))
+        for n in (2, 3, 5, 30):
+            zeta = mpmath.zeta(n, mpmath.mpf(a))
+            assert abs(_hurwitz_zeta(n, a) - zeta) <= 8.0e-16 * zeta
+
+
+def test_hurwitz_zeta_beyond_float_range_is_inf():
+    assert _hurwitz_zeta(60, 1e-6) == math.inf
