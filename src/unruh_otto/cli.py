@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import List, Optional, Sequence, Tuple
@@ -33,22 +34,16 @@ from . import __version__
 from .engine import EngineConfig, solve_cycle, work_comparison
 from .errors import ConsistencyError, DomainError, NonConvergenceError
 from .kinematics import Worldline, trajectory_point, velocity
-from .oracle import (QuadratureSpec, integrate_imagesum_1d, integrate_sinh_2d)
+from .oracle import QuadratureSpec, integrate_imagesum_1d, integrate_sinh_2d
 from .response import (j_function, kick_and_response, perturbative_validity,
                        vacuum_response, with_population)
 
-# Regulator ladders used by the no-argument oracle-check grid.  The point
-# defaults in QuadratureSpec favor speed; the validation grid instead uses
-# ladders tuned (once, against the closed form) so the extrapolation
-# residual sits safely inside the max(rel_tol, abs_tol) acceptance band at
-# every grid point.  The sinh2d route needs a finer ladder: its residual
-# scales with the square of the regulator.
-GRID_EPSILONS = {
-    "imagesum1d": (2.5e-3, 1.25e-3, 6.25e-4),
-    "sinh2d": (1.25e-3, 6.25e-4, 3.125e-4),
-}
 GRID_A = (5.0, 15.0, 40.0, 100.0)
 GRID_V = (0.3, 0.5, 0.8)
+
+# argparse reads a value such as -1e-5 as a flag: its own negative-number
+# pattern has no exponent form.  main glues such a value to its flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +216,8 @@ def _cmd_oracle_check(args) -> int:
                   else integrate_sinh_2d)
 
     grid_mode = args.alpha is None
-    if args.epsilon_list is not None:
-        epsilons = tuple(args.epsilon_list)
-    elif grid_mode:
-        epsilons = GRID_EPSILONS[args.representation]
-    else:
-        epsilons = QuadratureSpec().epsilon_list
-    spec = QuadratureSpec(epsilon_list=epsilons, k_max=args.k_max,
-                          abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                          window=args.window)
+    spec = QuadratureSpec(k_max=args.k_max, abs_tol=args.abs_tol,
+                          rel_tol=args.rel_tol, window=args.window)
 
     if grid_mode:
         rows = []
@@ -246,7 +234,6 @@ def _cmd_oracle_check(args) -> int:
     _emit(args, ORACLE_HEADER, rows,
           {"alpha": args.alpha, "omega": args.omega,
            "duration": args.duration, "representation": args.representation,
-           "epsilon_list": [float(e) for e in spec.epsilon_list],
            "k_max": spec.k_max, "window": spec.window,
            "abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol,
            "expect_fail": bool(args.expect_fail),
@@ -335,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Lorentzian window duration T")
     p.add_argument("--representation", choices=("imagesum1d", "sinh2d"),
                    default="imagesum1d")
-    p.add_argument("--epsilon-list", type=float, nargs="+", default=None,
-                   metavar="EPS", help="regulator ladder in units of 1/alpha")
     spec = QuadratureSpec()
     p.add_argument("--k-max", type=int, default=spec.k_max)
     p.add_argument("--window", type=float, default=spec.window)
@@ -350,7 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    glued: List[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if (glued and glued[-1].startswith("--") and "=" not in glued[-1]
+                and _NEGATIVE_NUMBER.fullmatch(arg)):
+            glued[-1] += "=" + arg   # --x -1e-5 is read as --x=-1e-5
+        else:
+            glued.append(arg)
+    args = build_parser().parse_args(glued)
     try:
         return args.handler(args)
     except DomainError as exc:

@@ -162,8 +162,14 @@ def critical_probability(a_H: float, a_C: float, v: float) -> float:
     return _fixed_point(a_H, a_C, v)[0]
 
 
-def _fixed_point(a_H: float, a_C: float, v: float) -> Tuple[float, float]:
-    """p0 of :func:`critical_probability` and the J(-1/a_H, y) behind it."""
+def _fixed_point(a_H: float, a_C: float, v: float,
+                 g: float = 1.0) -> Tuple[float, float]:
+    """p0 of :func:`critical_probability` and the hot kick dp_hot there.
+
+    Substituting p0 into the hot kick gives
+    dp_hot = g^2 (a_H J_H - a_C J_C) / ((a_H + a_C)(1 + 2 P)), which is
+    exactly 0 when a_H = a_C.
+    """
     check_positive("a_H", a_H)
     check_positive("a_C", a_C)
     _check_speed(v)
@@ -183,7 +189,7 @@ def _fixed_point(a_H: float, a_C: float, v: float) -> Tuple[float, float]:
         raise ConsistencyError(
             f"closed-form fixed point leaves kick residual "
             f"{kick_hot + kick_cold:.3e} at p0 = {p0!r}")
-    return p0, j_hot
+    return p0, g * g * (a_H * j_hot - a_C * j_cold) / ((a_H + a_C) * denom)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,10 @@ class CycleSolution:
     ``feasible`` is the heat-engine flag: True when the hot contact
     pumps population up (dp_hot > 0), so that for omega2 > omega1 the
     cycle extracts work; False means the same parameters run a
-    refrigerator.  dp_cold = -dp_hot by construction of p0.
+    refrigerator.  dp_hot has the sign of a_H J(-1/a_H, y) -
+    a_C J(-1/a_C, y) whenever 1 + 2P > 0 (:func:`_fixed_point`), so it is
+    exactly 0, and the cycle infeasible, when a_H = a_C.
+    dp_cold = -dp_hot by construction of p0.
     """
     p0: float
     dp_hot: float
@@ -214,8 +223,7 @@ def solve_cycle(cfg: EngineConfig) -> CycleSolution:
     numbers and verdicts are returned so parameter scans can see where
     and how operation fails.
     """
-    p0, j_hot = _fixed_point(cfg.a_H, cfg.a_C, cfg.v)
-    dp_hot = kick(j_hot, cfg.a_H, p0, cfg.v, cfg.g)
+    p0, dp_hot = _fixed_point(cfg.a_H, cfg.a_C, cfg.v, cfg.g)
 
     def verdict(a: float, dp: float) -> ValidityVerdict:
         return with_population(perturbative_validity(a, cfg.v, cfg.g),
@@ -259,7 +267,6 @@ def work_comparison(a_H: float, a_C: float, v_list: Sequence[float],
     w_cl = classical_delta_p(a_H, a_C) * gap_diff
     rows = []
     for v in v_list:
-        p0, j_hot = _fixed_point(a_H, a_C, v)
-        dp_hot = kick(j_hot, a_H, p0, v, g)
+        dp_hot = _fixed_point(a_H, a_C, v, g)[1]
         rows.append((float(v), dp_hot * gap_diff, w_cl))
     return rows

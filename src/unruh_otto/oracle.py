@@ -14,32 +14,50 @@ Window units
 Over the time separation u the window product collapses to the weight
 w_T(u) = pi T^3 / (4 (u^2 + T^2)).  In units s = u/T the integral reads
 
-    value = Integral_{|s| <= window} ds w_1(s) e^{i q s} K(s, eps),   K = T^2 G(s T),
+    value = Integral_{|s| <= window} ds w_1(s) e^{i q s} K(s),   K = T^2 G(s T),
 
 a function of y = alpha T and q = omega T alone: the two reduced numbers
-of the closed form J(omega/alpha, alpha T).  Each route rescales once on
-entry and supplies only its kernel K, its break points and its truncation
-bound:
+of the closed form J(omega/alpha, alpha T).  Both kernels are
+
+    K(s) = -1 / (4 pi^2 (s - i0)^2) + R(s),
+
+with R real, even and regular, so each route rescales once on entry and
+supplies only R, its break points and its truncation bound:
 
 ``integrate_imagesum_1d``
-    the image expansion -[1/(s - i eps/y)^2 + images at s = +-2 pi i k/y] / (4 pi^2),
+    the image expansion, R = -[images at s = +-2 pi i k/y] / (4 pi^2),
     truncated at k = k_max;
 
 ``integrate_sinh_2d``
-    the sinh form -y^2 / (16 pi^2 sinh^2(y s / 2 - i eps)), from the double
+    the sinh form -y^2 / (16 pi^2 sinh^2(y s / 2 - i0)), from the double
     integral over both interaction times, whose integral along the
-    diagonal is a Cauchy-Cauchy convolution done exactly (w_T above).
+    diagonal is a Cauchy-Cauchy convolution done exactly (w_T above);
+    R = [1 - (h / sinh h)^2] / (4 pi^2 s^2) with h = y s / 2.
 
 The image sum is the partial-fraction expansion of the sinh form, so the
 routes integrate the same function and are independent of each other, and
-of the closed form, only through the kernel.  One shared, scale-free path
-does the rest: it integrates, as one real quadrature over [0, window]
-(``OracleResult`` says why that is exact), at every regulator value in
-``QuadratureSpec.epsilon_list`` (units of 1/alpha) and Richardson-
-extrapolates to epsilon -> 0 from the final pair; the spread between
-successive extrapolants feeds the error estimate and a non-convergence
-check.  Both error estimates cover the quadrature error, that residual and
-the cut at |s| = window; the 1-D route adds its image-sum truncation bound.
+of the closed form, only through R.
+
+The limit epsilon -> 0
+----------------------
+One shared, scale-free path adds the singular part in closed form.  The
+differentiated Sokhotski-Plemelj identity
+
+    1 / (s - i0)^2 = f.p. 1/s^2 - i pi delta'(s)
+
+(Gel'fand & Shilov, Generalized Functions I, section I.3) gives, with
+w_1(0) = pi/4 and W = window, the finite part
+Integral_{|s| <= W} (w_1(s) cos(q s) - w_1(0)) / s^2 ds - 2 w_1(0) / W, and
+the delta' term -pi q w_1(0).  Since (w_1(s) cos(q s) - w_1(0)) / s^2 =
+-w_1(s) (2 sin^2(q s / 2) / s^2 + 1), which does not cancel,
+
+    value = 2 Integral_0^W w_1(s) [cos(q s) R(s) + (2 sin^2(q s / 2) / s^2 + 1) / (4 pi^2)] ds
+            + 1 / (8 pi W) + q / 16,
+
+one real quadrature and no regulator.  The delta' term alone carries the
+odd part, value(q) - value(-q) = q/8.  The error estimate is the
+quadrature error, plus a bound on the cut at |s| = window, plus, for the
+1-D route, its image-sum truncation bound.
 
 Normalization
 -------------
@@ -56,10 +74,9 @@ exposed on :class:`OracleResult` and used for every closed-form
 comparison.  ``value`` itself is always the raw windowed integral.
 """
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -67,6 +84,7 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, check_positive
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI_SQUARED = 4.0 * math.pi ** 2
 _QUAD_LIMIT = 300
 
 
@@ -75,12 +93,16 @@ class QuadratureSpec:
     """Tuning knobs for the quadrature oracles.
 
     epsilon_list
-        Strictly decreasing regulator values, in units of 1/alpha.
+        Ignored: both routes take epsilon -> 0 exactly (module docstring).
+        Callers that still pass a regulator ladder (the benchmark's
+        ``perfbench/workloads.py``) keep working, so the field keeps its
+        default and its checks: strictly decreasing positive values, at
+        least two.
     k_max
         Image-sum truncation order (1-D representation only).
     abs_tol / rel_tol
-        Error budget used by the non-convergence check and by the
-        truncation-dominated flag.
+        Error budget of the CLI's closed-form comparison; rel_tol also
+        sets the truncation-dominated flag.
     window
         Half-width of the u-window of both routes, in multiples of T.
     """
@@ -111,20 +133,16 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Extrapolated quadrature value with an honest error estimate.
+    """Quadrature value at epsilon -> 0 with an honest error estimate.
 
     ``value`` is the raw windowed integral.  It is complex, and its
-    imaginary part is exactly 0.0: both kernels satisfy
-    K(-s, eps) = conj K(s, eps) and the window weight is even, so the
-    integrand at -s is the conjugate of that at s and the integral over
-    |s| <= window is twice the real part of the one over [0, window].
-    ``epsilon_values`` records the pre-extrapolation integral at each
-    regulator value for convergence diagnostics.
+    imaginary part is exactly 0.0: the window weight and R are even, so
+    the sin(q s) part of e^{i q s} integrates to 0 against them and
+    against f.p. 1/s^2, and the delta' term is real (module docstring).
     """
     value: complex
     error_estimate: float
     representation: str
-    epsilon_values: Tuple[complex, ...] = field(default=(), repr=False)
     truncation_bound: float = 0.0
     truncation_dominated: bool = False
 
@@ -154,40 +172,6 @@ def _reduced(alpha: float, omega: float, T: float,
     return y, q
 
 
-def _spike_points(scale: float, half_width: float) -> list:
-    """Geometric ladder of subdivision points resolving a spike at 0, on
-    the positive side."""
-    pts = []
-    s = scale
-    while s < half_width:
-        pts.append(s)
-        s *= 4.0
-    return pts
-
-
-def _extrapolate(values, eps_list):
-    """Richardson-extrapolate the final epsilon pair; estimate the residual.
-
-    Returns (extrapolated_value, residual): the residual is the spread
-    between the extrapolants of the last two adjacent pairs (or the size
-    of the final correction when only one pair is available).
-    """
-    pairs = []
-    for i in range(len(values) - 1):
-        e0, e1 = eps_list[i], eps_list[i + 1]
-        pairs.append(values[i + 1] + (values[i + 1] - values[i]) * e1 / (e0 - e1))
-    if len(pairs) >= 2:
-        return pairs[-1], abs(pairs[-1] - pairs[-2])
-    return pairs[-1], abs(pairs[-1] - values[-1])
-
-
-def _check_break_points(count: float) -> None:
-    if count >= _QUAD_LIMIT:
-        raise NonConvergenceError(
-            f"{count:.6g} break points leave no room within the "
-            f"quadrature's {_QUAD_LIMIT} subintervals; shorten the window")
-
-
 def quad(func, a: float, b: float, **kwargs):
     """scipy.integrate.quad with its IntegrationWarning silenced.
 
@@ -210,7 +194,7 @@ def _window_tail(alpha: float, T: float, u_max: float) -> float:
     """Bound on the two tails of the u-integral cut off at |u| = u_max.
 
     Both routes integrate w(u) e^{i omega u} G(u) with the window weight
-    w(u) = pi T^3 / (4 (u^2 + T^2)) and, as eps -> 0,
+    w(u) = pi T^3 / (4 (u^2 + T^2)) and, off the diagonal,
     |G(u)| = alpha^2 / (16 pi^2 sinh^2(alpha |u| / 2)).  Since
     sinh(x) >= sinh(x0) e^{x - x0} for x >= x0 >= 0 and w(u) < pi T^3 / (4 u^2),
     the two tails sum to at most
@@ -229,53 +213,44 @@ def _window_tail(alpha: float, T: float, u_max: float) -> float:
             * min(1.0, 1.0 / x))
 
 
-def _integrate(kernel, pole_height: float, poles: list, y: float, q: float,
+def _check_break_points(count: float) -> None:
+    if count >= _QUAD_LIMIT:
+        raise NonConvergenceError(
+            f"{count:.6g} break points leave no room within the "
+            f"quadrature's {_QUAD_LIMIT} subintervals")
+
+
+def _integrate(remainder, points: list, y: float, q: float,
                spec: QuadratureSpec, representation: str,
                trunc: float = 0.0) -> OracleResult:
-    """Integrate w_1(s) e^{i q s} kernel(s, eps) over |s| <= window; eps -> 0.
+    """Integrate w_1(s) e^{i q s} K(s) over |s| <= window at epsilon -> 0.
 
-    The integrand at -s is the conjugate of that at s (``OracleResult``),
-    so one real quadrature over [0, window] gives the value, doubled.  The
-    kernel's regulated pole sits at s = i pole_height eps / y; ``poles``
-    are the further break points in (0, window].  Error: the largest
-    quadrature error + the extrapolation residual + the window tails + the
-    truncation bound.
-    A pole not small against the Lorentzian width 1 or the cut, where the
-    extrapolation in eps has no footing, is NonConvergenceError.
+    K = -1/(4 pi^2 (s - i0)^2) + remainder(s); the singular part is taken
+    in closed form (module docstring), so one real quadrature over
+    [0, window], with the break points ``points``, remains.  Error: the
+    quadrature error + the window tails + the truncation bound.  A value
+    or estimate beyond the float range is NonConvergenceError.
     """
     window = spec.window
-    pole = pole_height * spec.epsilon_list[0] / y
-    if not pole < min(1.0, window):
+
+    def integrand(s):
+        t = math.sin(0.5 * q * s) / s
+        return _window_weight(s, 1.0) * (
+            math.cos(q * s) * remainder(s) + (2.0 * t * t + 1.0) / FOUR_PI_SQUARED)
+
+    val, err = quad(integrand, 0.0, window, points=points or None,
+                    limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
+    # 2 w_1(0) / W and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
+    value = 2.0 * val + 1.0 / (8.0 * math.pi * window) + q / 16.0
+    error = 2.0 * abs(err) + _window_tail(y, 1.0, window) + trunc
+    if not (math.isfinite(value) and math.isfinite(error)):
         raise NonConvergenceError(
-            f"regulated pole at {pole:.3e} T is not below min(1, window) = "
-            f"{min(1.0, window):.3e}; choose smaller epsilon_list values")
-
-    def integrand(s, eps):
-        return (_window_weight(s, 1.0) * cmath.exp(1j * q * s)
-                * kernel(s, eps)).real
-
-    values, quad_errs = [], []
-    for eps in spec.epsilon_list:
-        pts = sorted(set(_spike_points(pole_height * eps / y, window) + poles))
-        _check_break_points(2 * len(pts) + 1)  # both sides and 0
-        val, err = quad(integrand, 0.0, window, args=(eps,), points=pts,
-                        limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
-        values.append(complex(2.0 * val))
-        quad_errs.append(2.0 * abs(err))
-
-    extrapolated, residual = _extrapolate(values, spec.epsilon_list)
-    budget = 10.0 * (spec.abs_tol + spec.rel_tol * abs(extrapolated))
-    if residual > budget:
-        raise NonConvergenceError(
-            f"epsilon extrapolants differ by {residual:.3e}, "
-            f"exceeding 10x the error budget {budget / 10.0:.3e}")
-    error = max(quad_errs) + residual + _window_tail(y, 1.0, window) + trunc
-    return OracleResult(value=complex(extrapolated),
-                        error_estimate=float(error),
+            f"oracle value {value!r} with error estimate {error!r} leaves "
+            f"the float range at window = {window!r}")
+    return OracleResult(value=complex(value), error_estimate=float(error),
                         representation=representation,
-                        epsilon_values=tuple(values),
                         truncation_bound=trunc,
-                        truncation_dominated=trunc > spec.rel_tol * abs(extrapolated))
+                        truncation_dominated=trunc > spec.rel_tol * abs(value))
 
 
 def integrate_imagesum_1d(alpha: float, omega: float, T: float,
@@ -284,7 +259,7 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
 
     In window units (module docstring), with y = alpha T and c = 2 pi / y,
     evaluates  -1/(16 pi) Integral ds e^{i q s} / (s^2 + 1) *
-    [ 1/(s - i eps/y)^2 + sum_{k=1}^{k_max} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
+    [ 1/(s - i0)^2 + sum_{k=1}^{k_max} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
     over |s| <= window.  The k-tail truncation bound y^2 / (32 pi^2 k_max)
     is folded into the error estimate.  Each image pole c k inside the
     window is a quadrature break point; 300 or more break points (about
@@ -295,42 +270,35 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     n_images = spec.window // c
     _check_break_points(2.0 * n_images)
     image_points = [c * k for k in range(1, int(n_images) + 1)]
-    return _integrate(_image_kernel(y, spec), 1.0, image_points, y, q, spec,
+    return _integrate(_image_remainder(y, spec), image_points, y, q, spec,
                       "imagesum1d", y * y / (32.0 * math.pi ** 2 * spec.k_max))
 
 
-def _image_kernel(y: float, spec: QuadratureSpec):
-    """K(s, eps) of ``integrate_imagesum_1d``: the image sum to spec.k_max."""
-    c = TWO_PI / y
+def _image_remainder(y: float, spec: QuadratureSpec):
+    """R(s) of ``integrate_imagesum_1d``: the images k = 1 .. spec.k_max.
+
+    The pair at s = +-i c k, c = 2 pi / y, is 2 v (u - 1) / (u + 1)^2 with
+    v = 1/(c k)^2 and u = s^2 v, built from v = (y / (2 pi k))^2 so that
+    no term overflows however small y is.
+    """
+    inv_c = y / TWO_PI
     # Exact image terms for c*k up to 6*window; beyond that the truncated
     # sum is evaluated through its rapidly convergent expansion in
     # s^2/(c k)^2 with precomputed partial power sums (still exact
     # summation to k_max up to a relative remainder ~ (1/6)^10).
-    k_lo = min(spec.k_max, int(math.ceil(6.0 * spec.window / c)))
-    w_near = (c * np.arange(1, k_lo + 1, dtype=float)) ** 2
-    w_far = (c * np.arange(k_lo + 1, spec.k_max + 1, dtype=float)) ** 2
-    p1, p2, p3, p4, p5 = (float(np.sum(w_far ** (-m))) for m in range(1, 6))
+    k_lo = min(spec.k_max, int(math.ceil(6.0 * spec.window * inv_c)))
+    v_near = (inv_c / np.arange(1, k_lo + 1, dtype=float)) ** 2
+    v_far = (inv_c / np.arange(k_lo + 1, spec.k_max + 1, dtype=float)) ** 2
+    p1, p2, p3, p4, p5 = (float(np.sum(v_far ** m)) for m in range(1, 6))
 
-    def kernel(s, eps):
+    def remainder(s):
         s2 = s * s
-        near = 2.0 * float(np.sum((s2 - w_near) / (s2 + w_near) ** 2))
+        u = s2 * v_near
+        near = 2.0 * float(np.sum(v_near * (u - 1.0) / (u + 1.0) ** 2))
         far = 2.0 * (-p1 + s2 * (3.0 * p2 + s2 * (-5.0 * p3 + s2 * (7.0 * p4 - 9.0 * s2 * p5))))
-        return -(1.0 / (s - 1j * eps / y) ** 2 + near + far) / (4.0 * math.pi ** 2)
+        return -(near + far) / FOUR_PI_SQUARED
 
-    return kernel
-
-
-def _inv_sinh_squared(x: complex) -> complex:
-    """1/sinh^2(x), without overflow far from the diagonal.
-
-    For |Re x| > 20 it is taken as 4 q / (1 - q)^2 with q = e^{-2x} (e^{2x}
-    for Re x < 0): |q| < 5e-18 there, so nothing overflows and 1 - q does
-    not cancel.
-    """
-    if abs(x.real) <= 20.0:
-        return 1.0 / cmath.sinh(x) ** 2
-    q = cmath.exp(-2.0 * x if x.real > 0.0 else 2.0 * x)
-    return 4.0 * q / (1.0 - q) ** 2
+    return remainder
 
 
 def integrate_sinh_2d(alpha: float, omega: float, T: float,
@@ -338,26 +306,45 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
     """Windowed response integral of the sinh-form correlation function.
 
     Evaluates  Integral dtau dtau' xi_T(tau) xi_T(tau') e^{i omega (tau-tau')}
-    G(tau - tau')  with  G(u) = -alpha^2 / (16 pi^2 sinh^2(alpha u / 2 - i eps)).
+    G(tau - tau')  with  G(u) = -alpha^2 / (16 pi^2 sinh^2(alpha u / 2 - i0)).
     In rotated coordinates u = tau - tau', r = tau + tau' (Jacobian 1/2)
     the r-integral of the window product is the exact ``_window_weight``
 
         1/2 Integral dr T^4 / (((r+u)^2 + T^2) ((r-u)^2 + T^2)) = pi T^3 / (4 (u^2 + T^2)),
 
     so in window units (module docstring) one adaptive quadrature over
-    |s| <= window remains per regulator value.  The kernel is evaluated in
-    a form that decays far from the diagonal, so long windows do not
-    overflow.  ``spec.k_max`` plays no role here.
+    [0, window] remains.  R falls from y^2 / (48 pi^2) to 1 / (4 pi^2 s^2)
+    around s = 2 / y; where that is narrow against the Lorentzian width 1,
+    break points at 2/y, 8/y, 32/y, ... below 0.1 keep the quadrature from
+    stepping over it, and 150 or more of them (y beyond about 1e91) raise
+    NonConvergenceError.  ``spec.k_max`` plays no role here.
     """
     y, q = _reduced(alpha, omega, T, spec)
-    return _integrate(_sinh_kernel(y), 2.0, [], y, q, spec, "sinh2d")
+    points = []
+    s = 2.0 / y
+    while s < 0.1:
+        points.append(s)
+        s *= 4.0
+    _check_break_points(2.0 * len(points))
+    return _integrate(_sinh_remainder(y), points, y, q, spec, "sinh2d")
 
 
-def _sinh_kernel(y: float):
-    """K(s, eps) of ``integrate_sinh_2d``."""
-    pref = -y * y / (16.0 * math.pi ** 2)
+def _sinh_remainder(y: float):
+    """R(s) = [1 - (h / sinh h)^2] / (4 pi^2 s^2) of ``integrate_sinh_2d``.
 
-    def kernel(s, eps):
-        return pref * _inv_sinh_squared(0.5 * y * s - 1j * eps)
+    h = y s / 2.  Below h = 0.1 the bracket cancels and is taken from its
+    series; above it h / sinh h = 2 h e^{-h} / (1 - e^{-2h}), which does
+    not overflow far from the diagonal.
+    """
+    half_y = 0.5 * y
 
-    return kernel
+    def remainder(s):
+        h = half_y * s
+        if h < 0.1:  # (h / s)^2 times the series of the bracket over h^2
+            h2 = h * h
+            return half_y * half_y * (1.0 / 3.0 - h2 * (1.0 / 15.0 - h2 * (
+                2.0 / 189.0 - h2 * (1.0 / 675.0 - h2 * (2.0 / 10395.0))))) / FOUR_PI_SQUARED
+        ratio = 2.0 * h * math.exp(-h) / -math.expm1(-2.0 * h)
+        return (1.0 - ratio * ratio) / FOUR_PI_SQUARED / s / s
+
+    return remainder

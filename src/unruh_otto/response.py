@@ -28,9 +28,12 @@ speed endpoint v (so y = 2*arctanh(v)), is
 equivalently g^2 [ (1-p) J(-1/a, y) - p J(1/a, y) ] via the asymmetry
 identity.  Both forms are exposed and must agree to 1e-10.
 
-Domain: y must lie in (0, 2*pi) — the sin^2(y/2) factor vanishes and the
-Lerch shift 1 - y/2pi hits zero at y = 2*pi — which for cycle speeds means
-v < tanh(pi) ~ 0.99627.  Values of J can be negative at small reduced
+Domain: y must lie in (0, 2*pi), which for cycle speeds means
+v < tanh(pi) ~ 0.99627.  That is a limit of this evaluation, not of the
+response: the Lerch shift 1 - y/2pi reaches zero at y = 2*pi, and
+``lerch_phi`` needs a shift a > 0 (its double pole there cancels against
+the sin^2(y/2) factor, and J stays finite and smooth through y = 2*pi).
+Values of J can be negative at small reduced
 acceleration; this is a genuine feature of the finite-contact response and
 marks the region where the perturbative treatment loses validity (see
 ``perturbative_validity``).

@@ -61,6 +61,7 @@ psi and zeta without scipy
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_TERM_CAP = 10_000_000
 
 _CHUNK = 4096
+# log of the largest float: a^-s is beyond the float range above it
+_LOG_MAX = math.log(sys.float_info.max)
 
 # The log-z expansion runs for |log z| up to this and 0 < a <= 2.
 _LOG_Z_SWITCH = 2.0 * math.pi / 100.0
@@ -232,7 +235,8 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     Raises DomainError for arguments off the series domain and
     ResourceLimitError if direct summation cannot meet the tail bound
     within ``max_terms`` terms: z too close to 1 while a > 2, or a tol
-    below what the log-z expansion can certify.
+    below what the log-z expansion can certify.  Where the first term
+    a^-s alone is beyond the float range the value is inf.
     """
     z = float(z)
     a = float(a)
@@ -244,6 +248,8 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     check_positive("tol", tol)
     s = int(s)
 
+    if s * math.log(a) < -_LOG_MAX:
+        return math.inf
     if z == 0.0:
         return a ** (-s)
 

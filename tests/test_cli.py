@@ -215,6 +215,17 @@ def test_solve_grid_contains_reference_cell():
     assert cell["feasible"] == "true"
 
 
+def test_solve_grid_diagonal_is_infeasible():
+    # a_H = a_C: dp_hot is exactly 0, where rounding noise of either sign
+    # set feasible at (5, 5) and (1000, 1000) before
+    proc = run("solve-grid", "--a-min", "5", "--a-max", "1000", "--count", "6",
+               "--v", "0.8", check=True)
+    diagonal = [r for r in parse_csv(proc.stdout) if r["a_H"] == r["a_C"]]
+    assert len(diagonal) == 6
+    assert all(r["dp_hot"] == "0.0" and r["feasible"] == "false"
+               for r in diagonal)
+
+
 def test_compare_classical_table():
     proc = run("compare-classical", "--a-hot", "40", "--a-cold", "15",
                "--v", "0.3", "0.5", "0.7", "0.9", check=True)
@@ -251,8 +262,7 @@ def test_compare_classical_table():
     (["oracle-check", "--alpha", "40", "--omega", "-1",
       "--duration", "0.0549306"],
      {"alpha": 40.0, "omega": -1.0, "duration": 0.0549306,
-      "representation": "imagesum1d", "epsilon_list": [1e-2, 5e-3, 2.5e-3],
-      "k_max": 20000, "window": 20.0, "abs_tol": 1e-6, "rel_tol": 1e-3,
+      "representation": "imagesum1d", "k_max": 20000, "window": 20.0, "abs_tol": 1e-6, "rel_tol": 1e-3,
       "expect_fail": False, "mode": "point"}),
 ], ids=["delta-p", "j-fn", "trajectory", "sweep-a", "sweep-p", "solve-grid",
         "compare-classical", "oracle-check"])
@@ -299,12 +309,32 @@ def test_oracle_check_partial_point_flags():
 
 
 def test_oracle_check_non_convergence_exit():
-    duration = repr(2.0 * math.atanh(0.8) / 40.0)
-    proc = run("oracle-check", "--alpha", "40", "--omega", "-1",
-               "--duration", duration, "--abs-tol", "1e-12",
-               "--rel-tol", "1e-9")
-    assert proc.returncode == 3
-    assert "extrapolants" in proc.stderr
+    # the finite-part term 1 / (8 pi window) overflows; a regulated pole
+    # beyond the window raised ZeroDivisionError here before the ladder
+    # check, and there is no regulator now
+    for representation in ("imagesum1d", "sinh2d"):
+        proc = run("oracle-check", "--alpha", "1", "--omega", "1",
+                   "--duration", "0.001", "--window", "1e-320",
+                   "--representation", representation)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: oracle value inf with error estimate "
+                               "inf leaves the float range at window = "
+                               "1e-320\n")
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+def test_oracle_check_default_grid(representation):
+    proc = run("oracle-check", "--representation", representation,
+               check=True)
+    rows = json.loads(proc.stdout)["rows"]
+    assert len(rows) == 24
+    for row in rows:
+        assert row["passed"] is True
+        assert row["abs_diff"] <= 2.0 * row["error_estimate"]
+        assert row["oracle_value_imag"] == 0.0
+        if representation == "sinh2d":
+            assert row["abs_diff"] <= 1e-9
 
 
 def test_oracle_check_long_window_exits_3():
@@ -317,14 +347,12 @@ def test_oracle_check_long_window_exits_3():
 
 @pytest.mark.parametrize("flags,message", [
     (["--window", "inf"], "window must be positive and finite"),
-    (["--epsilon-list", "1e-2", "nan"],
-     "epsilon_list entry must be positive and finite"),
     (["--abs-tol", "inf"], "abs_tol must be positive and finite"),
     # each factor is finite, the product window * duration is not
     (["--window", "1e308"], "window * T must be positive and finite"),
     (["--window", "1e308", "--representation", "sinh2d"],
      "window * T must be positive and finite"),
-], ids=["window-inf", "epsilon-nan", "abs-tol-inf", "window-T-overflow",
+], ids=["window-inf", "abs-tol-inf", "window-T-overflow",
         "window-T-overflow-sinh2d"])
 def test_oracle_check_non_finite_spec_exits_2(flags, message):
     proc = run("oracle-check", "--alpha", "0.1", "--omega", "1",
@@ -347,17 +375,39 @@ def test_oracle_check_is_scale_free(alpha, duration, representation):
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
-@pytest.mark.parametrize("flags", [
-    ["--duration", "1e-110"], ["--duration", "0.001", "--window", "1e-320"]],
-    ids=["short-duration", "tiny-window"])
-def test_oracle_check_regulator_beyond_window_exits_3(flags, representation):
-    # the regulated pole lies outside the window: a ZeroDivisionError before
-    proc = run("oracle-check", "--alpha", "1", "--omega", "1", *flags,
-               "--representation", representation)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("error: regulated pole")
-    assert proc.stderr.count("\n") == 1
-    assert proc.stdout == ""
+def test_oracle_check_short_duration(representation):
+    # alpha T = 1e-110 put the regulated pole beyond the window (exit 3);
+    # the exact limit gives a finite row inside its estimate, which fails
+    # the 1e-6 tolerance only by the cut at window 20 (3.3e-6 in j)
+    proc = run("oracle-check", "--alpha", "1", "--omega", "1",
+               "--duration", "1e-110", "--representation", representation)
+    assert proc.returncode == 1
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["abs_diff"] <= 2.0 * row["error_estimate"]
+    assert row["tolerance"] < row["abs_diff"] < 4e-6
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+def test_oracle_check_tiny_alpha_T(representation):
+    # alpha T = 1e-200 left the image table, (2 pi k / y)^2, beyond the
+    # float range: a nan row
+    proc = run("oracle-check", "--alpha", "1e-200", "--omega", "1e-200",
+               "--duration", "1", "--window", "200",
+               "--representation", representation, check=True)
+    assert json.loads(proc.stdout)["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("glued, spaced", [
+    (["j-fn", "--x=-1e-5", "--y", "0.5"], ["j-fn", "--x", "-1e-5", "--y", "0.5"]),
+    (["oracle-check", "--alpha", "1", "--omega=-1e-5", "--duration", "1"],
+     ["oracle-check", "--alpha", "1", "--omega", "-1e-5", "--duration", "1"]),
+], ids=["j-fn", "oracle-check"])
+def test_negative_value_in_exponent_notation(glued, spaced):
+    # argparse's negative-number pattern has no exponent form: exit 2 with
+    # "expected one argument" before
+    want = run(*glued, check=True)
+    got = run(*spaced, check=True)
+    assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
 
 
 def test_j_fn_where_sin_squared_underflows():

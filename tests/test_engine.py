@@ -107,12 +107,16 @@ def test_fixed_point_matches_independent_root():
 
 
 def test_symmetric_contacts_kick_nothing():
-    for a in (3.0, 40.0, 150.0):
+    # dp_hot is exactly 0 on a_H = a_C, so feasible no longer follows the
+    # sign of rounding noise (it was true at a = 5 and 1000 at v = 0.8)
+    for a in (3.0, 5.0, 40.0, 150.0, 204.0, 1000.0):
         p0 = critical_probability(a, a, 0.8)
         sol = solve_cycle(EngineConfig(omega1=1.0, omega2=1.0, alpha_H=a,
                                        alpha_C=a, v=0.8))
         assert sol.p0 == p0
-        assert abs(sol.dp_hot) < 1e-15
+        assert sol.dp_hot == 0.0
+        assert not sol.feasible
+        assert work_comparison(a, a, [0.3, 0.8])[1][1] == 0.0
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.0, 0.5), (1.0, -2.0, 0.5),

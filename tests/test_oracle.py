@@ -1,23 +1,26 @@
 """Checks for the two quadrature routes and their shared result contract.
 
 The closed-form comparisons here use single points with the default
-regulator ladder, except one check that every point of the CLI grid lies
-within its own error estimate; the grid agreement within the acceptance
-tolerance lives in the acceptance suite.
+spec, except the checks that every point of the CLI grid lies within its
+own error estimate and that the sinh route meets J to 1e-9 there; the
+grid agreement within the acceptance tolerance lives in the acceptance
+suite.  The regulated kernels, whose epsilon -> 0 limit both routes take
+exactly, survive here as a test-only reference.
 """
 
 import cmath
 import math
-import random
 import tracemalloc
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
-from unruh_otto.cli import GRID_A, GRID_EPSILONS, GRID_V
+from unruh_otto import oracle
+from unruh_otto.cli import GRID_A, GRID_V
 from unruh_otto.errors import DomainError, NonConvergenceError
-from unruh_otto.oracle import (QuadratureSpec, _image_kernel, _sinh_kernel,
-                               _window_tail, _window_weight,
+from unruh_otto.oracle import (QuadratureSpec, _image_remainder,
+                               _sinh_remainder, _window_tail, _window_weight,
                                integrate_imagesum_1d, integrate_sinh_2d)
 from unruh_otto.response import j_function, vacuum_response
 
@@ -25,13 +28,15 @@ EPS = 2.0 ** -52
 Y8 = 2.0 * math.atanh(0.8)
 Y5 = 2.0 * math.atanh(0.5)
 
-# frozen outputs of the validated build (default QuadratureSpec); the
-# sinh2d pair was re-frozen when its window weight became exact, which
-# removed a -6.5e-8 bias the truncated inner quadrature left in the value
-IM40_VALUE = 0.07559002087766481      # alpha=40, omega=-1, T=Y8/40
-IM40_J = 0.02618004175532962
-SINH100_VALUE = 0.06679799677702722   # alpha=100, omega=-1, T=Y5/100
-SINH100_J = 0.008595993554054437
+# frozen outputs of the validated build (default QuadratureSpec), re-frozen
+# when both routes took epsilon -> 0 exactly instead of Richardson-
+# extrapolating a regulator ladder: IM40_J moved from 0.02618004175532962
+# to within the k_max truncation (1.5e-6) of J = 0.026182410419473473, and
+# SINH100_J from 0.008595993554054437 to 5.6e-14 from J = 0.008611099822741842
+IM40_VALUE = 0.07559047831521326      # alpha=40, omega=-1, T=Y8/40
+IM40_J = 0.026180956630426522
+SINH100_VALUE = 0.06680554991139893   # alpha=100, omega=-1, T=Y5/100
+SINH100_J = 0.008611099822797869
 
 
 def test_imagesum_reference_point():
@@ -115,17 +120,39 @@ def test_error_estimate_covers_short_window(integrate, omega):
 @pytest.mark.parametrize("integrate, rep", [
     (integrate_imagesum_1d, "imagesum1d"), (integrate_sinh_2d, "sinh2d")])
 def test_error_estimate_covers_grid(integrate, rep):
-    spec = QuadratureSpec(epsilon_list=GRID_EPSILONS[rep])
     misses = []
     for a in GRID_A:
         for v in GRID_V:
             duration = 2.0 * math.atanh(v) / a
             for omega in (-1.0, 1.0):
-                res = integrate(a, omega, duration, spec)
+                res = integrate(a, omega, duration)
+                assert res.representation == rep
                 diff = abs(res.j_estimate - vacuum_response(a, omega, duration))
                 if diff > res.j_error_estimate:
                     misses.append((a, v, omega, diff, res.j_error_estimate))
     assert not misses
+
+
+def test_sinh2d_meets_closed_form_on_grid():
+    # the ladder left up to 8.6e-7 here; the exact limit leaves 4.4e-10
+    worst = 0.0
+    for a in GRID_A:
+        for v in GRID_V:
+            duration = 2.0 * math.atanh(v) / a
+            for omega in (-1.0, 1.0):
+                res = integrate_sinh_2d(a, omega, duration)
+                worst = max(worst, abs(res.j_estimate
+                                       - vacuum_response(a, omega, duration)))
+    assert worst <= 1e-9
+
+
+def test_sinh2d_confirms_the_anchor_responses():
+    # J(-1/40, y) and J(-1/15, y) at v = 0.8, the two values behind the
+    # fixed point p0 = 0.3114... of README "Known discrepancies"
+    for x in (-1.0 / 40.0, -1.0 / 15.0):
+        res = integrate_sinh_2d(1.0, x, Y8)
+        diff = abs(res.j_estimate - j_function(x, Y8))
+        assert diff <= res.j_error_estimate <= 1e-14
 
 
 def test_cross_representation_agreement():
@@ -136,77 +163,103 @@ def test_cross_representation_agreement():
 
 
 def test_real_valuedness():
-    # one real quadrature over [0, window]; test_kernel_conjugate_symmetry
-    # checks the symmetry that makes this exact
+    # the sin(q s) part integrates to 0 in closed form (OracleResult)
     for res in (integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0),
                 integrate_sinh_2d(1.0, 0.5, 1.0)):
         assert res.value.imag == 0.0
-        assert all(v.imag == 0.0 for v in res.epsilon_values)
 
 
-@pytest.mark.parametrize("make_kernel", [
-    lambda y: _image_kernel(y, QuadratureSpec()), _sinh_kernel])
-def test_kernel_conjugate_symmetry(make_kernel):
-    # K(-s, eps) = conj K(s, eps): with the even window weight, the
-    # integrand's imaginary part is odd and integrates to 0 over |s| <= window
-    rng = random.Random(14)
-    for _ in range(20):
-        y = 10.0 ** rng.uniform(-2.0, math.log10(6.0))
-        kernel = make_kernel(y)
-        for _ in range(10):
-            s = rng.uniform(0.0, 20.0)
-            eps = 10.0 ** rng.uniform(-4.0, -2.0)
-            plus, minus = kernel(s, eps), kernel(-s, eps)
-            assert abs(minus - plus.conjugate()) <= 4 * EPS * abs(plus)
+@pytest.mark.parametrize("y", [0.3, 2.2, 5.0])
+def test_sinh_remainder_matches_mpmath(y):
+    # both sides of the series switch at h = y s / 2 = 0.1, where the direct
+    # form 1 - (h / sinh h)^2 cancels
+    remainder = _sinh_remainder(y)
+    with mpmath.workdps(50):
+        for h in (1e-8, 1e-3, 0.05, 0.0999, 0.1, 0.1001, 0.3, 1.0, 10.0, 400.0):
+            s = 2.0 * h / y
+            hm = mpmath.mpf(y) / 2 * mpmath.mpf(s)
+            want = (1 - (hm / mpmath.sinh(hm)) ** 2) / (4 * mpmath.pi ** 2
+                                                        * mpmath.mpf(s) ** 2)
+            assert abs(remainder(s) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("y", [0.01, 0.3, 2.2, 6.0])
+def test_image_remainder_is_the_sinh_remainder(y):
+    # the image sum is the partial-fraction expansion of the sinh form: the
+    # two remainders differ only by the images beyond k_max, each pair at
+    # most 2 (y / 2 pi k)^2 / (4 pi^2), together below y^2 / (8 pi^4 k_max)
+    spec = QuadratureSpec(k_max=1000)
+    image, sinh = _image_remainder(y, spec), _sinh_remainder(y)
+    bound = y * y / (8.0 * math.pi ** 4 * spec.k_max)
+    for s in (1e-3, 0.2, 1.0, 7.3, 19.9):
+        assert abs(image(s) - sinh(s)) <= bound + 4 * EPS * abs(sinh(s))
+
+
+def _regulated(y, q, kernel, pole, window=20.0):
+    """Full-window complex quadrature of w_1 e^{i q s} kernel(s), with a
+    regulated pole at s = i pole."""
+    def integrand(s):
+        return _window_weight(s, 1.0) * cmath.exp(1j * q * s) * kernel(s)
+    spikes = [pole * 4.0 ** i for i in range(8)]
+    pts = sorted({0.0} | {sign * p for p in spikes if p < window
+                          for sign in (1.0, -1.0)})
+    return oracle.quad(integrand, -window, window, points=pts, limit=300,
+                       epsabs=1e-12, epsrel=1e-10, complex_func=True)[0]
 
 
 def test_half_window_matches_full_complex_quadrature():
-    # the value the full-width complex quadrature gives, at one regulator
-    y, q, eps, window = Y8, -Y8 / 40.0, 2.5e-3, 20.0
-    kernel = _sinh_kernel(y)
-
-    def integrand(s):
-        return _window_weight(s, 1.0) * cmath.exp(1j * q * s) * kernel(s, eps)
-    spikes = [2.0 * eps / y * 4.0 ** i for i in range(8)]
-    pts = sorted({0.0} | {sign * p for p in spikes if p < window
-                          for sign in (1.0, -1.0)})
-    full = quad(integrand, -window, window, points=pts, limit=300,
-                epsabs=1e-12, epsrel=1e-10, complex_func=True)[0]
-    spec = QuadratureSpec(epsilon_list=(eps, eps / 2.0))
-    half = integrate_sinh_2d(y, q, 1.0, spec).epsilon_values[0]
-    assert abs(half - full) <= 1e-9 * abs(full)
+    # The exact half-window value against the regulated kernels integrated
+    # over the full window and Richardson-extrapolated from eps and eps/2.
+    # The extrapolant's error is O(eps^2): it falls about 4x per halving, to
+    # 4.6e-7 (sinh) and 1.1e-7 (images) at eps = 2.5e-3, while a single rung
+    # is 1.3e-4 off.
+    y, q = Y8, -Y8 / 40.0
+    image = _image_remainder(y, QuadratureSpec())
+    routes = [
+        (integrate_sinh_2d, 2.0, lambda s, eps: -y * y / (
+            16.0 * math.pi ** 2 * cmath.sinh(0.5 * y * s - 1j * eps) ** 2)),
+        (integrate_imagesum_1d, 1.0, lambda s, eps: image(s) - 1.0 / (
+            4.0 * math.pi ** 2 * (s - 1j * eps / y) ** 2)),
+    ]
+    for integrate, height, kernel in routes:
+        exact = integrate(y, q, 1.0).value
+        misses = []
+        for eps in (5e-3, 2.5e-3):
+            coarse, fine = (_regulated(y, q, lambda s: kernel(s, e),
+                                       height * e / y) for e in (eps, eps / 2.0))
+            misses.append(abs(2.0 * fine - coarse - exact))
+        assert misses[1] <= misses[0] / 3.0
+        assert misses[1] <= 1e-6
 
 
 def test_frequency_reversal_odd_part():
     # value(omega) - value(-omega) = omega*T/8: the raw-integral form of
-    # the closed form's x*y/4 asymmetry (the affine map doubles it)
+    # the closed form's x*y/4 asymmetry (the affine map doubles it), carried
+    # by the delta' term alone
     alpha, omega, T = 2.0, 1.0, 0.9
-    plus = integrate_imagesum_1d(alpha, omega, T)
-    minus = integrate_imagesum_1d(alpha, -omega, T)
-    odd = plus.value.real - minus.value.real
-    assert odd == pytest.approx(omega * T / 8.0,
-                                abs=plus.error_estimate + minus.error_estimate)
-    assert (plus.j_estimate - minus.j_estimate ==
-            pytest.approx(omega * T / 4.0, abs=1e-5))
+    for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
+        plus = integrate(alpha, omega, T)
+        minus = integrate(alpha, -omega, T)
+        odd = plus.value.real - minus.value.real
+        assert odd == pytest.approx(omega * T / 8.0, abs=1e-15)
+        assert (plus.j_estimate - minus.j_estimate ==
+                pytest.approx(omega * T / 4.0, abs=1e-15))
 
 
-def test_regulator_ladder_contracts():
-    res = integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0)
-    d01 = abs(res.epsilon_values[0] - res.epsilon_values[1])
-    d12 = abs(res.epsilon_values[1] - res.epsilon_values[2])
-    assert d12 < d01
+def test_epsilon_list_is_ignored():
+    # kept on QuadratureSpec for callers that still pass a regulator ladder
+    ladder = QuadratureSpec(epsilon_list=(2.5e-3, 1.25e-3, 6.25e-4))
+    for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
+        assert (integrate(40.0, -1.0, Y8 / 40.0, ladder)
+                == integrate(40.0, -1.0, Y8 / 40.0))
 
 
 def test_vanishing_window():
-    # alpha T = 1e-6 puts the default regulated pole (eps = 1e-2) 1e4 window
-    # durations off the axis, where the eps ladder returned value 4.2e-9 and
-    # j_estimate -0.125 instead of J = 1.25e-7; a fine enough ladder finds
-    # the vanishing-window limit value -> 1/16 and J
+    # alpha T = 1e-6: the regulator ladder put its pole (eps = 1e-2) 1e4
+    # window durations off the axis and raised; the exact limit reaches the
+    # vanishing-window limit value -> 1/16 and J with the default spec
     for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
-        with pytest.raises(NonConvergenceError, match="regulated pole"):
-            integrate(1.0, 1.0, 1e-6)
-        res = integrate(1.0, 1.0, 1e-6,
-                        QuadratureSpec(epsilon_list=(1e-8, 5e-9, 2.5e-9)))
+        res = integrate(1.0, 1.0, 1e-6)
         diff = abs(res.j_estimate - vacuum_response(1.0, 1.0, 1e-6))
         assert diff <= res.j_error_estimate
         assert res.value.real == pytest.approx(1.0 / 16.0, abs=1e-4)
@@ -244,11 +297,27 @@ def test_long_window_sinh2d_is_finite():
     result = integrate_sinh_2d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
     numbers = [result.value.real, result.value.imag, result.error_estimate,
                result.truncation_bound]
-    for v in result.epsilon_values:
-        numbers += [v.real, v.imag]
     assert all(math.isfinite(n) for n in numbers)
     assert abs(result.j_estimate - j_function(0.5, 1.0)) <= \
         result.j_error_estimate
+
+
+@pytest.mark.parametrize("y", [1e3, 1e5, 1e8])
+def test_long_contact_sinh2d(y):
+    # alpha T >> 1: R falls to 1 / (4 pi^2 s^2) within s ~ 2/y, and the
+    # integral of R alone tends to y / (16 pi) (the integral of
+    # 1/h^2 - 1/sinh^2 h over h > 0 is 1), on top of the vanishing-window
+    # 1/16; the next term is near pi / (16 y).  Without break points at the
+    # scale 2/y the quadrature stepped over R and returned 1/16 at y = 1e5.
+    res = integrate_sinh_2d(y, 1.0, 1.0)
+    limit = y / (16.0 * math.pi) + 1.0 / 16.0
+    assert abs(res.value.real - limit) <= res.error_estimate + 1.0 / y
+
+
+def test_huge_alpha_T_sinh2d_is_typed_error():
+    # 151 break points from 2/y up to 0.1
+    with pytest.raises(NonConvergenceError, match="break points"):
+        integrate_sinh_2d(1e92, 1.0, 1.0)
 
 
 def test_long_window_imagesum_is_typed_error():
@@ -271,12 +340,23 @@ def test_long_window_imagesum_counts_poles_first():
     assert peak < 1e6
 
 
-def test_non_convergence_budget():
-    # squeezing the error budget makes the leftover extrapolation residual
-    # (a healthy ~1e-6 here) trip the 10x check
-    tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9)
-    with pytest.raises(NonConvergenceError, match="extrapolants differ"):
-        integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0, tight)
+def test_value_beyond_float_range_is_typed_error():
+    # the finite-part term 1 / (8 pi window) overflows at window = 1e-320
+    spec = QuadratureSpec(window=1e-320)
+    for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
+        with pytest.raises(NonConvergenceError, match="float range"):
+            integrate(1.0, 1.0, 1e-3, spec)
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+def test_tiny_alpha_T(integrate):
+    # alpha T = 1e-200: the image table (2 pi k / y)^2 overflowed to inf and
+    # gave nan; it is now built from (y / 2 pi k)^2
+    res = integrate(1e-200, 1e-200, 1.0, QuadratureSpec(window=200.0))
+    diff = abs(res.j_estimate - vacuum_response(1e-200, 1e-200, 1.0))
+    assert math.isfinite(res.value.real)
+    assert diff <= res.j_error_estimate <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [

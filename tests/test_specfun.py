@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -185,3 +186,13 @@ def test_digamma_and_zeta_at_edges(a):
 
 def test_hurwitz_zeta_beyond_float_range_is_inf():
     assert _hurwitz_zeta(60, 1e-6) == math.inf
+
+
+@pytest.mark.parametrize("z", [0.9999, 0.5, 0.0],
+                         ids=["log-z", "direct", "first-term"])
+def test_lerch_beyond_float_range_is_inf(z):
+    # a^-s = 1e360: nan (inf - inf in the log-z sum), inf with a numpy
+    # RuntimeWarning, and an untyped OverflowError before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lerch_phi(z, 60, 1e-6) == math.inf
