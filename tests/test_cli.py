@@ -309,18 +309,15 @@ def test_oracle_check_partial_point_flags():
 
 
 def test_oracle_check_non_convergence_exit():
-    # the finite-part term 1 / (8 pi window) overflows; a regulated pole
-    # beyond the window raised ZeroDivisionError here before the ladder
-    # check, and there is no regulator now
-    for representation in ("imagesum1d", "sinh2d"):
-        proc = run("oracle-check", "--alpha", "1", "--omega", "1",
-                   "--duration", "0.001", "--window", "1e-320",
-                   "--representation", representation)
-        assert proc.returncode == 3
-        assert proc.stderr == ("error: oracle value inf with error estimate "
-                               "inf leaves the float range at window = "
-                               "1e-320\n")
-        assert proc.stdout == ""
+    # the ladder's extrapolants missed the 10x residual check here (exit 3);
+    # the exact limit meets the tight tolerance on the sinh route
+    duration = repr(2.0 * math.atanh(0.8) / 40.0)
+    proc = run("oracle-check", "--alpha", "40", "--omega", "-1",
+               "--duration", duration, "--abs-tol", "1e-12",
+               "--rel-tol", "1e-9", "--representation", "sinh2d", check=True)
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["passed"] is True
+    assert row["rel_diff"] <= 1e-9
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
@@ -372,6 +369,21 @@ def test_oracle_check_is_scale_free(alpha, duration, representation):
                "--duration", duration, "--representation", representation,
                check=True)
     assert json.loads(proc.stdout)["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+@pytest.mark.parametrize("flags", [["--duration", "0.001", "--window", "1e-320"]],
+                         ids=["tiny-window"])
+def test_oracle_check_regulator_beyond_window_exits_3(flags, representation):
+    # a ZeroDivisionError before, then a regulated pole beyond the window;
+    # with no regulator the finite-part term 1 / (8 pi window) overflows
+    proc = run("oracle-check", "--alpha", "1", "--omega", "1", *flags,
+               "--representation", representation)
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: oracle value inf with error estimate "
+                           "inf leaves the float range at window = "
+                           "1e-320\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
