@@ -183,7 +183,7 @@ def _cmd_compare_classical(args) -> int:
 ORACLE_HEADER = ("alpha", "omega", "duration", "representation",
                  "oracle_value_real", "oracle_value_imag", "error_estimate",
                  "j_oracle", "j_closed", "abs_diff", "rel_diff",
-                 "tolerance", "passed")
+                 "tolerance", "passed", "j_error_estimate")
 
 
 def _check_point(alpha: float, omega: float, duration: float, integrator,
@@ -202,7 +202,7 @@ def _check_point(alpha: float, omega: float, duration: float, integrator,
     return (alpha, omega, duration, result.representation,
             result.value.real, result.value.imag, result.error_estimate,
             j_oracle, j_closed, abs_diff, rel_diff, tolerance,
-            abs_diff <= tolerance)
+            abs_diff <= tolerance, result.j_error_estimate)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -216,8 +216,8 @@ def _cmd_oracle_check(args) -> int:
                   else integrate_sinh_2d)
 
     grid_mode = args.alpha is None
-    spec = QuadratureSpec(k_max=args.k_max, abs_tol=args.abs_tol,
-                          rel_tol=args.rel_tol, window=args.window)
+    spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+                          window=args.window)
 
     if grid_mode:
         rows = []
@@ -234,11 +234,12 @@ def _cmd_oracle_check(args) -> int:
     _emit(args, ORACLE_HEADER, rows,
           {"alpha": args.alpha, "omega": args.omega,
            "duration": args.duration, "representation": args.representation,
-           "k_max": spec.k_max, "window": spec.window,
+           "window": spec.window,
            "abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol,
            "expect_fail": bool(args.expect_fail),
            "mode": "grid" if grid_mode else "point"})
-    return 0 if all(row[-1] for row in rows) else 1
+    passed = ORACLE_HEADER.index("passed")
+    return 0 if all(row[passed] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representation", choices=("imagesum1d", "sinh2d"),
                    default="imagesum1d")
     spec = QuadratureSpec()
-    p.add_argument("--k-max", type=int, default=spec.k_max)
     p.add_argument("--window", type=float, default=spec.window)
     p.add_argument("--abs-tol", type=float, default=spec.abs_tol)
     p.add_argument("--rel-tol", type=float, default=spec.rel_tol)

@@ -22,11 +22,12 @@ of the closed form J(omega/alpha, alpha T).  Both kernels are
     K(s) = -1 / (4 pi^2 (s - i0)^2) + R(s),
 
 with R real, even and regular, so each route rescales once on entry and
-supplies only R, its break points and its truncation bound:
+supplies only R and its break points:
 
 ``integrate_imagesum_1d``
     the image expansion, R = -[images at s = +-2 pi i k/y] / (4 pi^2),
-    truncated at k = k_max;
+    summed over every k >= 1: the near images one by one, the rest
+    through Hurwitz zeta power sums;
 
 ``integrate_sinh_2d``
     the sinh form -y^2 / (16 pi^2 sinh^2(y s / 2 - i0)), from the double
@@ -57,7 +58,7 @@ the delta' term -pi q w_1(0).  Since (w_1(s) cos(q s) - w_1(0)) / s^2 =
 one real quadrature and no regulator.  The delta' term alone carries the
 odd part, value(q) - value(-q) = q/8.  The error estimate is the
 quadrature error, plus a bound on the cut at |s| = window, plus, for the
-1-D route, its image-sum truncation bound.
+1-D route, the first term its power series over the far images drops.
 
 Normalization
 -------------
@@ -86,31 +87,26 @@ from .errors import DomainError, NonConvergenceError, check_positive
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQUARED = 4.0 * math.pi ** 2
 _QUAD_LIMIT = 300
+_FAR_TERMS = 12    # of the power series over the far images
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tuning knobs for the quadrature oracles.
 
-    epsilon_list
-        Ignored: both routes take epsilon -> 0 exactly (module docstring).
-        Callers that still pass a regulator ladder (the benchmark's
-        ``perfbench/workloads.py``) keep working, so the field keeps its
-        default and its checks: strictly decreasing positive values, at
-        least two.
-    k_max
-        Image-sum truncation order (1-D representation only).
+    epsilon_list, k_max
+        Ignored: both routes take epsilon -> 0 exactly, and the image
+        route sums every image (module docstring).  Callers that still
+        pass a regulator ladder or an image-sum truncation order (the
+        benchmark's ``perfbench/workloads.py``) keep working, so both
+        fields keep their defaults and their checks: strictly decreasing
+        positive values, at least two, and k_max at least 1.
     abs_tol / rel_tol
-        Error budget of the CLI's closed-form comparison; rel_tol also
-        sets the truncation-dominated flag.
+        Error budget of the CLI's closed-form comparison.
     window
         Half-width of the u-window of both routes, in multiples of T.
     """
     epsilon_list: Tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
-    # Image terms beyond ~6x the window are summed through a power-series
-    # tail, so raising k_max costs one vectorized pass over k; the default
-    # keeps the truncation bound (alpha*T)^2/(32 pi^2 k_max) well below
-    # every tolerance floor this package uses.
     k_max: int = 20000
     abs_tol: float = 1e-6
     rel_tol: float = 1e-3
@@ -143,8 +139,6 @@ class OracleResult:
     value: complex
     error_estimate: float
     representation: str
-    truncation_bound: float = 0.0
-    truncation_dominated: bool = False
 
     @property
     def j_estimate(self) -> float:
@@ -220,19 +214,17 @@ def _check_break_points(count: float) -> None:
             f"quadrature's {_QUAD_LIMIT} subintervals")
 
 
-def _integrate(remainder, points: list, y: float, q: float,
-               spec: QuadratureSpec, representation: str,
-               trunc: float = 0.0) -> OracleResult:
+def _integrate(remainder, points: list, y: float, q: float, window: float,
+               representation: str, remainder_error: float = 0.0) -> OracleResult:
     """Integrate w_1(s) e^{i q s} K(s) over |s| <= window at epsilon -> 0.
 
     K = -1/(4 pi^2 (s - i0)^2) + remainder(s); the singular part is taken
     in closed form (module docstring), so one real quadrature over
     [0, window], with the break points ``points``, remains.  Error: the
-    quadrature error + the window tails + the truncation bound.  A value
-    or estimate beyond the float range is NonConvergenceError.
+    quadrature error + the window tails + ``remainder_error``, a bound on
+    the value's error from the approximations inside ``remainder``.  A
+    value or estimate beyond the float range is NonConvergenceError.
     """
-    window = spec.window
-
     def integrand(s):
         t = math.sin(0.5 * q * s) / s
         return _window_weight(s, 1.0) * (
@@ -242,15 +234,13 @@ def _integrate(remainder, points: list, y: float, q: float,
                     limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
     # 2 w_1(0) / W and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
     value = 2.0 * val + 1.0 / (8.0 * math.pi * window) + q / 16.0
-    error = 2.0 * abs(err) + _window_tail(y, 1.0, window) + trunc
+    error = 2.0 * abs(err) + _window_tail(y, 1.0, window) + remainder_error
     if not (math.isfinite(value) and math.isfinite(error)):
         raise NonConvergenceError(
             f"oracle value {value!r} with error estimate {error!r} leaves "
             f"the float range at window = {window!r}")
     return OracleResult(value=complex(value), error_estimate=float(error),
-                        representation=representation,
-                        truncation_bound=trunc,
-                        truncation_dominated=trunc > spec.rel_tol * abs(value))
+                        representation=representation)
 
 
 def integrate_imagesum_1d(alpha: float, omega: float, T: float,
@@ -259,46 +249,68 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
 
     In window units (module docstring), with y = alpha T and c = 2 pi / y,
     evaluates  -1/(16 pi) Integral ds e^{i q s} / (s^2 + 1) *
-    [ 1/(s - i0)^2 + sum_{k=1}^{k_max} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
-    over |s| <= window.  The k-tail truncation bound y^2 / (32 pi^2 k_max)
-    is folded into the error estimate.  Each image pole c k inside the
-    window is a quadrature break point; 300 or more break points (about
-    window * y / pi) raise NonConvergenceError before the poles are listed.
+    [ 1/(s - i0)^2 + sum_{k=1}^{inf} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
+    over |s| <= window, with every image summed (``_image_remainder``).
+    Each image pole c k inside the window is a quadrature break point; 300
+    or more break points (about window * y / pi) raise NonConvergenceError
+    before the poles are listed.
     """
     y, q = _reduced(alpha, omega, T, spec)
     c = TWO_PI / y
     n_images = spec.window // c
     _check_break_points(2.0 * n_images)
     image_points = [c * k for k in range(1, int(n_images) + 1)]
-    return _integrate(_image_remainder(y, spec), image_points, y, q, spec,
-                      "imagesum1d", y * y / (32.0 * math.pi ** 2 * spec.k_max))
+    remainder, remainder_error = _image_remainder(y, spec.window)
+    return _integrate(remainder, image_points, y, q, spec.window,
+                      "imagesum1d", remainder_error)
 
 
-def _image_remainder(y: float, spec: QuadratureSpec):
-    """R(s) of ``integrate_imagesum_1d``: the images k = 1 .. spec.k_max.
+def _image_remainder(y: float, window: float):
+    """R(s) of ``integrate_imagesum_1d`` summed over every image, and a
+    bound on the value's error from the series of the far images.
 
-    The pair at s = +-i c k, c = 2 pi / y, is 2 v (u - 1) / (u + 1)^2 with
-    v = 1/(c k)^2 and u = s^2 v, built from v = (y / (2 pi k))^2 so that
-    no term overflows however small y is.
+    With t = s y / (2 pi), the pair at s = +-2 pi i k / y is
+    2 (y / 2 pi)^2 (t^2 - k^2) / (t^2 + k^2)^2.  The pairs up to
+    k_lo = ceil(6 window y / 2 pi) are summed one by one.  With b = k_lo + 1
+    and x = (t / b)^2 < 1/36 on the window, the pairs k >= b sum to
+
+        2 (y / 2 pi b)^2 sum_{m >= 0} (-1)^(m+1) (2m + 1) x^m Z_(m+1),
+
+    where Z_j = b^(2j) zeta(2j, b) = sum_{k >= b} (b / k)^(2j) (Hurwitz
+    zeta, DLMF 25.11.1) falls with j.  The terms alternate and shrink at
+    least 12-fold, so the first dropped term bounds the series' error.  Of
+    12 terms kept, it is at most 25 / 36^12 = 5e-18 of the leading one;
+    taken at s = window and integrated against the window weight, it is
+    the returned bound.
+    Every array entry is O(k_lo^2); only the scalar (y / 2 pi)^2 can leave
+    the float range, and then R is infinite and ``_integrate`` raises.
     """
+    from scipy.special import zeta
     inv_c = y / TWO_PI
-    # Exact image terms for c*k up to 6*window; beyond that the truncated
-    # sum is evaluated through its rapidly convergent expansion in
-    # s^2/(c k)^2 with precomputed partial power sums (still exact
-    # summation to k_max up to a relative remainder ~ (1/6)^10).
-    k_lo = min(spec.k_max, int(math.ceil(6.0 * spec.window * inv_c)))
-    v_near = (inv_c / np.arange(1, k_lo + 1, dtype=float)) ** 2
-    v_far = (inv_c / np.arange(k_lo + 1, spec.k_max + 1, dtype=float)) ** 2
-    p1, p2, p3, p4, p5 = (float(np.sum(v_far ** m)) for m in range(1, 6))
+    k_lo = math.ceil(6.0 * window * inv_c)
+    k2 = np.arange(1, k_lo + 1, dtype=float) ** 2
+    b = k_lo + 1.0
+    x_max = (window * inv_c / b) ** 2
+    orders = 2.0 * np.arange(1, _FAR_TERMS + 2)
+    z = zeta(orders, b) * b ** orders
+    coefs = [(-1) ** (m + 1) * (2 * m + 1) * float(z[m]) / (b * b)
+             for m in reversed(range(_FAR_TERMS))]
+    scale = inv_c * inv_c / FOUR_PI_SQUARED
 
     def remainder(s):
-        s2 = s * s
-        u = s2 * v_near
-        near = 2.0 * float(np.sum(v_near * (u - 1.0) / (u + 1.0) ** 2))
-        far = 2.0 * (-p1 + s2 * (3.0 * p2 + s2 * (-5.0 * p3 + s2 * (7.0 * p4 - 9.0 * s2 * p5))))
-        return -(near + far) / FOUR_PI_SQUARED
+        t = s * inv_c
+        t2 = t * t
+        x = t2 / (b * b)
+        far = 0.0
+        for coef in coefs:
+            far = far * x + coef
+        d = t2 + k2
+        return -2.0 * scale * (float(((t2 - k2) / (d * d)).sum()) + far)
 
-    return remainder
+    # the dropped term of R at s = W, times 2 Integral_0^W w_1 = (pi / 2) atan(W)
+    dropped = (2.0 * scale * (2 * _FAR_TERMS + 1) * x_max ** _FAR_TERMS
+               * float(z[_FAR_TERMS]) / (b * b))
+    return remainder, 0.5 * math.pi * math.atan(window) * dropped
 
 
 def integrate_sinh_2d(alpha: float, omega: float, T: float,
@@ -317,7 +329,7 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
     around s = 2 / y; where that is narrow against the Lorentzian width 1,
     break points at 2/y, 8/y, 32/y, ... below 0.1 keep the quadrature from
     stepping over it, and 150 or more of them (y beyond about 1e91) raise
-    NonConvergenceError.  ``spec.k_max`` plays no role here.
+    NonConvergenceError.
     """
     y, q = _reduced(alpha, omega, T, spec)
     points = []
@@ -326,7 +338,7 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
         points.append(s)
         s *= 4.0
     _check_break_points(2.0 * len(points))
-    return _integrate(_sinh_remainder(y), points, y, q, spec, "sinh2d")
+    return _integrate(_sinh_remainder(y), points, y, q, spec.window, "sinh2d")
 
 
 def _sinh_remainder(y: float):

@@ -262,7 +262,7 @@ def test_compare_classical_table():
     (["oracle-check", "--alpha", "40", "--omega", "-1",
       "--duration", "0.0549306"],
      {"alpha": 40.0, "omega": -1.0, "duration": 0.0549306,
-      "representation": "imagesum1d", "k_max": 20000, "window": 20.0, "abs_tol": 1e-6, "rel_tol": 1e-3,
+      "representation": "imagesum1d", "window": 20.0, "abs_tol": 1e-6, "rel_tol": 1e-3,
       "expect_fail": False, "mode": "point"}),
 ], ids=["delta-p", "j-fn", "trajectory", "sweep-a", "sweep-p", "solve-grid",
         "compare-classical", "oracle-check"])
@@ -328,10 +328,21 @@ def test_oracle_check_default_grid(representation):
     assert len(rows) == 24
     for row in rows:
         assert row["passed"] is True
-        assert row["abs_diff"] <= 2.0 * row["error_estimate"]
+        assert row["abs_diff"] <= row["j_error_estimate"]
+        assert row["j_error_estimate"] == 2.0 * row["error_estimate"]
         assert row["oracle_value_imag"] == 0.0
-        if representation == "sinh2d":
-            assert row["abs_diff"] <= 1e-9
+        # both routes are exact to their quadrature: 4.4e-10 at worst
+        # (1.5e-6 when the image sum stopped at k = 20000)
+        assert row["abs_diff"] <= 5e-10
+
+
+def test_oracle_check_k_max_flag_is_gone():
+    # the image route sums every image; the truncation order it took is
+    # an unrecognized argument now
+    proc = run("oracle-check", "--k-max", "100")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --k-max 100" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_oracle_check_long_window_exits_3():
@@ -395,7 +406,7 @@ def test_oracle_check_short_duration(representation):
                "--duration", "1e-110", "--representation", representation)
     assert proc.returncode == 1
     row = json.loads(proc.stdout)["rows"][0]
-    assert row["abs_diff"] <= 2.0 * row["error_estimate"]
+    assert row["abs_diff"] <= row["j_error_estimate"]
     assert row["tolerance"] < row["abs_diff"] < 4e-6
 
 
@@ -457,6 +468,7 @@ def test_oracle_check_csv_format():
     duration = repr(2.0 * math.atanh(0.8) / 40.0)
     proc = run("oracle-check", "--alpha", "40", "--omega", "-1",
                "--duration", duration, "--format", "csv", check=True)
+    assert proc.stdout.splitlines()[0].endswith(",passed,j_error_estimate")
     rows = parse_csv(proc.stdout)
     assert rows[0]["representation"] == "imagesum1d"
     assert rows[0]["passed"] == "true"

@@ -28,13 +28,15 @@ EPS = 2.0 ** -52
 Y8 = 2.0 * math.atanh(0.8)
 Y5 = 2.0 * math.atanh(0.5)
 
-# frozen outputs of the validated build (default QuadratureSpec), re-frozen
+# frozen outputs of the validated build (default QuadratureSpec).  Re-frozen
 # when both routes took epsilon -> 0 exactly instead of Richardson-
-# extrapolating a regulator ladder: IM40_J moved from 0.02618004175532962
-# to within the k_max truncation (1.5e-6) of J = 0.026182410419473473, and
-# SINH100_J from 0.008595993554054437 to 5.6e-14 from J = 0.008611099822741842
-IM40_VALUE = 0.07559047831521326      # alpha=40, omega=-1, T=Y8/40
-IM40_J = 0.026180956630426522
+# extrapolating a regulator ladder: SINH100_J moved from 0.008595993554054437
+# to 5.6e-14 from J = 0.008611099822741842.  Re-frozen again when the image
+# route summed every image instead of stopping at k = 20000: IM40_J moved
+# from 0.026180956630426522, 1.5e-6 below J = 0.026182410419473473, to
+# 2.8e-17 from it (an error estimate of 1.5e-14 in j)
+IM40_VALUE = 0.07559120520973675      # alpha=40, omega=-1, T=Y8/40
+IM40_J = 0.0261824104194735
 SINH100_VALUE = 0.06680554991139893   # alpha=100, omega=-1, T=Y5/100
 SINH100_J = 0.008611099822797869
 
@@ -183,16 +185,35 @@ def test_sinh_remainder_matches_mpmath(y):
             assert abs(remainder(s) - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("y", [0.01, 0.3, 2.2, 6.0])
+@pytest.mark.parametrize("y", [0.01, 0.3, 2.2, 6.0, 900.0])
 def test_image_remainder_is_the_sinh_remainder(y):
-    # the image sum is the partial-fraction expansion of the sinh form: the
-    # two remainders differ only by the images beyond k_max, each pair at
-    # most 2 (y / 2 pi k)^2 / (4 pi^2), together below y^2 / (8 pi^4 k_max)
-    spec = QuadratureSpec(k_max=1000)
-    image, sinh = _image_remainder(y, spec), _sinh_remainder(y)
-    bound = y * y / (8.0 * math.pi ** 4 * spec.k_max)
-    for s in (1e-3, 0.2, 1.0, 7.3, 19.9):
-        assert abs(image(s) - sinh(s)) <= bound + 4 * EPS * abs(sinh(s))
+    # the image sum is the partial-fraction expansion of the sinh form, and
+    # every image is summed, so the two agree to rounding: of R itself, and
+    # of the image pairs the sum cancels, whose sizes add up to about
+    # y / (pi s) / (4 pi^2) when y s >> 1 (1021 ulps of R at y = 900,
+    # s = 19.9, 0.2 ulps of that sum).  The reference is the sinh form at
+    # 50 digits, because _sinh_remainder cancels too: 159 ulps of R at
+    # y = 0.3, s = 1.  Summed only to k = 1000, the images missed R by up
+    # to 1.04 at y = 900.  The bound on the far images' power series is
+    # far below rounding.
+    image, error = _image_remainder(y, 20.0)
+    assert error <= EPS * 1e-3
+    with mpmath.workdps(50):
+        for s in (1e-3, 0.2, 1.0, 7.3, 19.9):
+            hm = mpmath.mpf(y) / 2 * mpmath.mpf(s)
+            want = float((1 - (hm / mpmath.sinh(hm)) ** 2)
+                         / (4 * mpmath.pi ** 2 * mpmath.mpf(s) ** 2))
+            cancelled = y / (4.0 * math.pi ** 3 * s)
+            assert abs(image(s) - want) <= 8 * EPS * (want + cancelled)
+
+
+def test_routes_agree_at_long_contact():
+    # alpha T = 900 with a window of 1: 143 image poles inside it; the
+    # images beyond k = 20000, once cut off, left j 0.11 short
+    spec = QuadratureSpec(window=1.0)
+    image = integrate_imagesum_1d(900.0, 1.0, 1.0, spec)
+    sinh = integrate_sinh_2d(900.0, 1.0, 1.0, spec)
+    assert abs(image.j_estimate - sinh.j_estimate) <= 1e-12
 
 
 def _regulated(y, q, kernel, pole, window=20.0):
@@ -214,7 +235,7 @@ def test_half_window_matches_full_complex_quadrature():
     # 4.6e-7 (sinh) and 1.1e-7 (images) at eps = 2.5e-3, while a single rung
     # is 1.3e-4 off.
     y, q = Y8, -Y8 / 40.0
-    image = _image_remainder(y, QuadratureSpec())
+    image = _image_remainder(y, 20.0)[0]
     routes = [
         (integrate_sinh_2d, 2.0, lambda s, eps: -y * y / (
             16.0 * math.pi ** 2 * cmath.sinh(0.5 * y * s - 1j * eps) ** 2)),
@@ -248,7 +269,8 @@ def test_frequency_reversal_odd_part():
 
 def test_epsilon_list_is_ignored():
     # kept on QuadratureSpec for callers that still pass a regulator ladder
-    ladder = QuadratureSpec(epsilon_list=(2.5e-3, 1.25e-3, 6.25e-4))
+    # or an image-sum truncation order
+    ladder = QuadratureSpec(epsilon_list=(2.5e-3, 1.25e-3, 6.25e-4), k_max=50)
     for integrate in (integrate_imagesum_1d, integrate_sinh_2d):
         assert (integrate(40.0, -1.0, Y8 / 40.0, ladder)
                 == integrate(40.0, -1.0, Y8 / 40.0))
@@ -280,23 +302,11 @@ def test_scale_invariance(integrate, scale):
     assert diff <= res.j_error_estimate
 
 
-def test_truncation_bound_covers_k_sensitivity():
-    spec50 = QuadratureSpec(k_max=50)
-    spec100 = QuadratureSpec(k_max=100)
-    at50 = integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0, spec50)
-    at100 = integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0, spec100)
-    assert abs(at50.value.real - at100.value.real) <= at50.truncation_bound
-    assert at50.truncation_dominated
-    assert at50.error_estimate >= at50.truncation_bound
-    assert not integrate_imagesum_1d(40.0, -1.0, Y8 / 40.0).truncation_dominated
-
-
 def test_long_window_sinh2d_is_finite():
     # window = 2000 at (alpha, omega, T) = (1, 0.5, 1): sinh^2 of the
     # kernel overflowed far from the diagonal and left nan in every field
     result = integrate_sinh_2d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
-    numbers = [result.value.real, result.value.imag, result.error_estimate,
-               result.truncation_bound]
+    numbers = [result.value.real, result.value.imag, result.error_estimate]
     assert all(math.isfinite(n) for n in numbers)
     assert abs(result.j_estimate - j_function(0.5, 1.0)) <= \
         result.j_error_estimate
@@ -318,6 +328,30 @@ def test_huge_alpha_T_sinh2d_is_typed_error():
     # 151 break points from 2/y up to 0.1
     with pytest.raises(NonConvergenceError, match="break points"):
         integrate_sinh_2d(1e92, 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_alpha_T_imagesum_is_typed_error():
+    # alpha T = 1e200 in a window of 1e-200: R is near y^2 / (48 pi^2),
+    # beyond the float range.  The image table overflowed with numpy's
+    # warning on stderr before a nan raised the typed error, and power sums
+    # taken as (y / 2 pi)^(2j) in Python floats raise a bare OverflowError
+    with pytest.raises(NonConvergenceError, match="float range"):
+        integrate_imagesum_1d(1e200, 1.0, 1.0, QuadratureSpec(window=1e-200))
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_alpha_T_tiny_window_imagesum():
+    # alpha T = 1e100 in a window of 1e-100: R is near 2e197, in range, but
+    # the power sums' (y / 2 pi)^(2j) is not from j = 2 on, which gave a
+    # nan and NonConvergenceError after numpy's overflow warning.  The sinh
+    # route's break points at 2/y, 8/y, ... below 0.1 are too many here, so
+    # its R goes through _integrate directly
+    y, window = 1e100, 1e-100
+    res = integrate_imagesum_1d(y, 1.0, 1.0, QuadratureSpec(window=window))
+    ref = oracle._integrate(_sinh_remainder(y), [], y, 1.0, window, "sinh2d")
+    assert math.isfinite(res.error_estimate)
+    assert res.value.real == pytest.approx(ref.value.real, rel=1e-12)
 
 
 def test_long_window_imagesum_is_typed_error():
