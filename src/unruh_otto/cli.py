@@ -73,11 +73,10 @@ def _write_payload(payload: str, out: Optional[str]) -> None:
         raise
 
 
-def _emit(args, header: Sequence[str], rows: List[tuple],
-          parameters: Optional[dict] = None) -> None:
-    """Write ``rows`` as CSV or JSON; the JSON ``parameters`` default to
-    every parsed flag except the subcommand, its handler and the output
-    flags."""
+def _emit(args, header: Sequence[str], rows: List[tuple]) -> None:
+    """Write ``rows`` as CSV or JSON; the JSON ``parameters`` are every
+    attribute of ``args`` (the parsed flags, and any a command sets)
+    except the subcommand, its handler and the output flags."""
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -86,9 +85,8 @@ def _emit(args, header: Sequence[str], rows: List[tuple],
             writer.writerow([_fmt(cell) for cell in row])
         payload = buffer.getvalue()
     else:
-        if parameters is None:
-            parameters = {name: value for name, value in vars(args).items()
-                          if name not in ("command", "handler", "format", "out")}
+        parameters = {name: value for name, value in vars(args).items()
+                      if name not in ("command", "handler", "format", "out")}
         payload = json.dumps(
             {"metadata": {"command": args.command, "parameters": parameters,
                           "version": __version__},
@@ -200,7 +198,7 @@ def _check_point(alpha: float, omega: float, duration: float, integrator,
     tolerance = max(spec.abs_tol, spec.rel_tol * abs(j_closed))
     rel_diff = abs_diff / abs(j_closed) if j_closed != 0.0 else math.inf
     return (alpha, omega, duration, result.representation,
-            result.value.real, result.value.imag, result.error_estimate,
+            result.value, 0.0, result.error_estimate,   # the value is real
             j_oracle, j_closed, abs_diff, rel_diff, tolerance,
             abs_diff <= tolerance, result.j_error_estimate)
 
@@ -216,6 +214,7 @@ def _cmd_oracle_check(args) -> int:
                   else integrate_sinh_2d)
 
     grid_mode = args.alpha is None
+    args.mode = "grid" if grid_mode else "point"   # a JSON parameter
     spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
                           window=args.window)
 
@@ -231,13 +230,7 @@ def _cmd_oracle_check(args) -> int:
         rows = [_check_point(args.alpha, args.omega, args.duration,
                              integrator, spec, args.expect_fail)]
 
-    _emit(args, ORACLE_HEADER, rows,
-          {"alpha": args.alpha, "omega": args.omega,
-           "duration": args.duration, "representation": args.representation,
-           "window": spec.window,
-           "abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol,
-           "expect_fail": bool(args.expect_fail),
-           "mode": "grid" if grid_mode else "point"})
+    _emit(args, ORACLE_HEADER, rows)
     passed = ORACLE_HEADER.index("passed")
     return 0 if all(row[passed] for row in rows) else 1
 

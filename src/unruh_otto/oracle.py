@@ -57,8 +57,9 @@ the delta' term -pi q w_1(0).  Since (w_1(s) cos(q s) - w_1(0)) / s^2 =
 
 one real quadrature and no regulator.  The delta' term alone carries the
 odd part, value(q) - value(-q) = q/8.  The error estimate is the
-quadrature error, plus a bound on the cut at |s| = window, plus, for the
-1-D route, the first term its power series over the far images drops.
+quadrature error, plus the exact integral of a majorant of the two tails
+cut at |s| = window, plus, for the 1-D route, the first term its power
+series over the far images drops.
 
 Normalization
 -------------
@@ -131,19 +132,16 @@ class QuadratureSpec:
 class OracleResult:
     """Quadrature value at epsilon -> 0 with an honest error estimate.
 
-    ``value`` is the raw windowed integral.  It is complex, and its
-    imaginary part is exactly 0.0: the window weight and R are even, so
-    the sin(q s) part of e^{i q s} integrates to 0 against them and
-    against f.p. 1/s^2, and the delta' term is real (module docstring).
+    ``value`` is the raw windowed integral.
     """
-    value: complex
+    value: float
     error_estimate: float
     representation: str
 
     @property
     def j_estimate(self) -> float:
         """Estimate of the closed-form response J (affine renormalization)."""
-        return 2.0 * self.value.real - 0.125
+        return 2.0 * self.value - 0.125
 
     @property
     def j_error_estimate(self) -> float:
@@ -179,32 +177,30 @@ def quad(func, a: float, b: float, **kwargs):
         return scipy_quad(func, a, b, **kwargs)
 
 
-def _window_weight(u: float, T: float) -> float:
-    """1/2 Integral dr xi_T((r+u)/2) xi_T((r-u)/2): a Cauchy-Cauchy convolution."""
-    return 0.25 * math.pi * T ** 3 / (u * u + T * T)
+def _window_weight(s: float) -> float:
+    """w_1(s) = 1/2 Integral dr xi_1((r+s)/2) xi_1((r-s)/2), a Cauchy-Cauchy
+    convolution."""
+    return 0.25 * math.pi / (s * s + 1.0)
 
 
-def _window_tail(alpha: float, T: float, u_max: float) -> float:
-    """Bound on the two tails of the u-integral cut off at |u| = u_max.
+def _window_tail(y: float, window: float) -> float:
+    """Bound on the two tails of the s-integral cut off at |s| = window.
 
-    Both routes integrate w(u) e^{i omega u} G(u) with the window weight
-    w(u) = pi T^3 / (4 (u^2 + T^2)) and, off the diagonal,
-    |G(u)| = alpha^2 / (16 pi^2 sinh^2(alpha |u| / 2)).  Since
-    sinh(x) >= sinh(x0) e^{x - x0} for x >= x0 >= 0 and w(u) < pi T^3 / (4 u^2),
-    the two tails sum to at most
+    Both routes integrate w_1(s) e^{i q s} K(s), and off the diagonal
+    |K(s)| = y^2 / (16 pi^2 sinh^2(y s / 2)).  Since w_1 falls on s > 0
+    and the integral of |K| from W = window to infinity is
+    y / (4 pi^2 expm1(y W)), the two tails sum to at most
 
-        T^3 alpha^2 min(1/u_max, 1/(alpha u_max^2)) / (32 pi sinh^2(alpha u_max / 2)),
+        2 w_1(W) y / (4 pi^2 expm1(y W)) = y / (8 pi (W^2 + 1) expm1(y W)),
 
-    i.e. T^3 alpha e^{-alpha u_max} / (8 pi u_max^2) for long windows.
-    In window units it is called as (y, 1, window).
+    the exact integral of that majorant: at most 3 times the tails, and
+    tight as y W grows.
     """
-    # 1/sinh^2(x/2) = 4 e^{-x} / (1 - e^{-x})^2 with x = alpha u_max, taken
-    # through x / (1 - e^{-x}), which neither overflows at large x nor
-    # cancels or underflows at small x
-    x = alpha * u_max
-    r = x / math.expm1(-x) / u_max
-    return (T ** 3 * math.exp(-x) * r * r / (8.0 * math.pi * u_max)
-            * min(1.0, 1.0 / x))
+    # y / expm1(y W) = r / W with r = x / expm1(x), x = y W, taken as
+    # x e^{-x} / (1 - e^{-x}), which does not overflow; r -> 1 as x -> 0
+    x = y * window
+    r = x * math.exp(-x) / -math.expm1(-x) if x > 0.0 else 1.0
+    return r / (8.0 * math.pi * window * (window * window + 1.0))
 
 
 def _check_break_points(count: float) -> None:
@@ -227,19 +223,19 @@ def _integrate(remainder, points: list, y: float, q: float, window: float,
     """
     def integrand(s):
         t = math.sin(0.5 * q * s) / s
-        return _window_weight(s, 1.0) * (
+        return _window_weight(s) * (
             math.cos(q * s) * remainder(s) + (2.0 * t * t + 1.0) / FOUR_PI_SQUARED)
 
     val, err = quad(integrand, 0.0, window, points=points or None,
                     limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
     # 2 w_1(0) / W and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
     value = 2.0 * val + 1.0 / (8.0 * math.pi * window) + q / 16.0
-    error = 2.0 * abs(err) + _window_tail(y, 1.0, window) + remainder_error
+    error = 2.0 * abs(err) + _window_tail(y, window) + remainder_error
     if not (math.isfinite(value) and math.isfinite(error)):
         raise NonConvergenceError(
             f"oracle value {value!r} with error estimate {error!r} leaves "
             f"the float range at window = {window!r}")
-    return OracleResult(value=complex(value), error_estimate=float(error),
+    return OracleResult(value=value, error_estimate=float(error),
                         representation=representation)
 
 
@@ -319,17 +315,17 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
 
     Evaluates  Integral dtau dtau' xi_T(tau) xi_T(tau') e^{i omega (tau-tau')}
     G(tau - tau')  with  G(u) = -alpha^2 / (16 pi^2 sinh^2(alpha u / 2 - i0)).
-    In rotated coordinates u = tau - tau', r = tau + tau' (Jacobian 1/2)
-    the r-integral of the window product is the exact ``_window_weight``
+    In window units (module docstring) and rotated coordinates
+    s = (tau - tau') / T, r = (tau + tau') / T (Jacobian 1/2), the
+    r-integral of the window product is the exact ``_window_weight``
 
-        1/2 Integral dr T^4 / (((r+u)^2 + T^2) ((r-u)^2 + T^2)) = pi T^3 / (4 (u^2 + T^2)),
+        1/2 Integral dr 1 / (((r+s)^2 + 1) ((r-s)^2 + 1)) = pi / (4 (s^2 + 1)),
 
-    so in window units (module docstring) one adaptive quadrature over
-    [0, window] remains.  R falls from y^2 / (48 pi^2) to 1 / (4 pi^2 s^2)
-    around s = 2 / y; where that is narrow against the Lorentzian width 1,
-    break points at 2/y, 8/y, 32/y, ... below 0.1 keep the quadrature from
-    stepping over it, and 150 or more of them (y beyond about 1e91) raise
-    NonConvergenceError.
+    so one adaptive quadrature over [0, window] remains.  R falls from
+    y^2 / (48 pi^2) to 1 / (4 pi^2 s^2) around s = 2 / y; where that is
+    narrow against the Lorentzian width 1, break points at 2/y, 8/y, 32/y,
+    ... below 0.1 keep the quadrature from stepping over it, and 150 or
+    more of them (y beyond about 1e91) raise NonConvergenceError.
     """
     y, q = _reduced(alpha, omega, T, spec)
     points = []

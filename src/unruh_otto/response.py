@@ -52,6 +52,10 @@ TWO_PI = 2.0 * math.pi
 #: Largest admissible cycle speed: y = 2*arctanh(v) must stay below 2*pi.
 V_MAX = math.tanh(math.pi)
 
+#: How many times g^2 * arctanh(v) the acceleration a must reach for the
+#: perturbative treatment to count as valid.
+VALIDITY_MARGIN = 10.0
+
 
 def _check_speed(v: float) -> None:
     if not 0.0 < v < V_MAX:
@@ -162,12 +166,11 @@ class ValidityVerdict:
     """Outcome of the perturbative small-correction check.
 
     ``ratio`` is a / (g^2 * arctanh(v)); the check passes when it is at
-    least ``margin``.  When an initial population was supplied, the
-    corrected population p + delta_p and its membership in (0, 1) are
+    least ``VALIDITY_MARGIN``.  When an initial population was supplied,
+    the corrected population p + delta_p and its membership in (0, 1) are
     reported as well.
     """
     ratio: float
-    margin: float
     passed: bool
     v_max: float
     population_after: Optional[float] = None
@@ -175,19 +178,14 @@ class ValidityVerdict:
 
 
 def perturbative_validity(a: float, v: float, g: float = 1.0,
-                          margin: float = 10.0,
                           p: Optional[float] = None) -> ValidityVerdict:
-    """Check a >> g^2 * arctanh(v), the condition for |delta_p| << 1.
-
-    ``margin`` sets how many times larger a must be (must exceed 1).
-    """
-    if not margin > 1.0:
-        raise DomainError("margin must exceed 1")
+    """Check a >= VALIDITY_MARGIN * g^2 * arctanh(v), the condition for
+    |delta_p| << 1."""
     _check_reduced_point(a, 0.0, v, g)  # p, if given, is checked by delta_p
 
     ratio = a / (g * g * math.atanh(v))
-    verdict = ValidityVerdict(ratio=ratio, margin=margin,
-                              passed=ratio >= margin, v_max=v_max_for(a, g))
+    verdict = ValidityVerdict(ratio=ratio, passed=ratio >= VALIDITY_MARGIN,
+                              v_max=v_max_for(a, g))
     if p is None:
         return verdict
     return with_population(verdict, p, delta_p(a, p, v, g))

@@ -411,6 +411,20 @@ def test_oracle_check_short_duration(representation):
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+def test_oracle_check_underflowing_y_window(representation):
+    # alpha * window * T = 1e-400 rounds to 0.0: a ZeroDivisionError in the
+    # window-tail bound before; now a row that fails the tolerance, since
+    # nearly all of the integral lies beyond the cut, within its estimate
+    proc = run("oracle-check", "--alpha", "1e-200", "--omega", "1",
+               "--duration", "1", "--window", "1e-200",
+               "--representation", representation)
+    assert proc.returncode == 1
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["passed"] is False
+    assert row["abs_diff"] <= row["j_error_estimate"]
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
 def test_oracle_check_tiny_alpha_T(representation):
     # alpha T = 1e-200 left the image table, (2 pi k / y)^2, beyond the
     # float range: a nan row

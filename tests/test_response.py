@@ -183,15 +183,15 @@ def test_speed_ceiling_message():
 
 
 def test_validity_ratio_pass_and_fail():
-    good = perturbative_validity(40.0, 0.99, 1.0, margin=10.0)
+    good = perturbative_validity(40.0, 0.99, 1.0)
     assert good.passed and good.ratio == pytest.approx(15.11, abs=0.01)
-    bad = perturbative_validity(1.0, 0.99, 1.0, margin=10.0)
+    bad = perturbative_validity(1.0, 0.99, 1.0)
     assert not bad.passed and bad.ratio == pytest.approx(0.378, abs=0.001)
 
 
 def test_validity_speed_ceiling():
     assert v_max_for(2.0, 1.0) == pytest.approx(math.tanh(2.0), rel=1e-15)
-    verdict = perturbative_validity(2.0, 0.5, 1.0, margin=2.0)
+    verdict = perturbative_validity(2.0, 0.5, 1.0)
     assert verdict.v_max == pytest.approx(0.9640, abs=5e-5)
 
 
@@ -207,11 +207,6 @@ def test_validity_reports_shifted_population():
     assert verdict.population_after == pytest.approx(
         0.5 + delta_p(40.0, 0.5, 0.8), rel=1e-14)
     assert verdict.in_unit_interval is True
-
-
-def test_validity_margin_domain():
-    with pytest.raises(DomainError):
-        perturbative_validity(40.0, 0.8, margin=1.0)
 
 
 def test_validity_rejects_infinite_coupling():
