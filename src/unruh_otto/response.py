@@ -30,9 +30,10 @@ identity.  Both forms are exposed and must agree to 1e-10.
 
 Domain: y must lie in (0, 2*pi), which for cycle speeds means
 v < tanh(pi) ~ 0.99627.  That is a limit of this evaluation, not of the
-response: the Lerch shift 1 - y/2pi reaches zero at y = 2*pi, and
-``lerch_phi`` needs a shift a > 0 (its double pole there cancels against
-the sin^2(y/2) factor, and J stays finite and smooth through y = 2*pi).
+response: the Lerch shift 1 - y/2pi reaches zero at y = 2*pi, and the
+Lerch sums (``specfun``, all four from one call) need a shift a > 0 (the
+double pole there cancels against the sin^2(y/2) factor, and J stays
+finite and smooth through y = 2*pi).
 Values of J can be negative at small reduced
 acceleration; this is a genuine feature of the finite-contact response and
 marks the region where the perturbative treatment loses validity (see
@@ -41,11 +42,11 @@ marks the region where the perturbative treatment loses validity (see
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DomainError, check_positive
-from .specfun import DEFAULT_TOL, _log_z_series, lerch_phi
+from .specfun import _lerch_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,11 +93,6 @@ def j_function(x: float, y: float) -> float:
     shift = y / TWO_PI
     sin_half = math.sin(0.5 * y)
 
-    def phi(s: int, b: float) -> float:
-        # z rounds to 1 below |x| ~ 8.8e-18; the expansion takes log z exactly
-        return (lerch_phi(z, s, b) if z < 1.0
-                else _log_z_series(-TWO_PI * ax, s, b, DEFAULT_TOL))
-
     if sin_half ** 2 >= sys.float_info.min:
         value = (0.5 * y) ** 2 * math.exp(-ax * y) / (8.0 * sin_half ** 2) - 0.125
     else:  # sin(y/2)^2 underflows, and (y/2) / sin(y/2) rounds to 1
@@ -105,10 +101,12 @@ def j_function(x: float, y: float) -> float:
         value += 0.25 * ax * y
     if z == 0.0:  # both Lerch terms are +0.0, and |x| y^2 may be inf
         return value
-    d2 = phi(2, 1.0 + shift) - phi(2, 1.0 - shift)
-    d1 = phi(1, 1.0 + shift) - phi(1, 1.0 - shift)
-    value += y * y * z / (32.0 * math.pi ** 2) * d2
-    value += ax * y * y * z / (16.0 * math.pi) * d1
+    # z rounds to 1 below |x| ~ 8.8e-18; the log-z expansion takes log z exactly
+    log_z = math.log(z) if z < 1.0 else -TWO_PI * ax
+    (p1, m1), (p2, m2) = _lerch_table(z, log_z, (1, 2),
+                                      (1.0 + shift, 1.0 - shift))
+    value += y * y * z / (32.0 * math.pi ** 2) * (p2 - m2)
+    value += ax * y * y * z / (16.0 * math.pi) * (p1 - m1)
     return value
 
 
@@ -184,16 +182,16 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
     _check_reduced_point(a, 0.0, v, g)  # p, if given, is checked by delta_p
 
     ratio = a / (g * g * math.atanh(v))
-    verdict = ValidityVerdict(ratio=ratio, passed=ratio >= VALIDITY_MARGIN,
-                              v_max=v_max_for(a, g))
+    verdict = (ratio, ratio >= VALIDITY_MARGIN, v_max_for(a, g))
     if p is None:
-        return verdict
-    return with_population(verdict, p, delta_p(a, p, v, g))
+        return ValidityVerdict(*verdict)
+    shifted = p + delta_p(a, p, v, g)
+    return ValidityVerdict(*verdict, shifted, 0.0 < shifted < 1.0)
 
 
 def with_population(verdict: ValidityVerdict, p: float,
                     kick: float) -> ValidityVerdict:
     """``verdict`` completed with the population p + kick after the contact."""
     shifted = p + kick
-    return replace(verdict, population_after=shifted,
-                   in_unit_interval=0.0 < shifted < 1.0)
+    return ValidityVerdict(verdict.ratio, verdict.passed, verdict.v_max,
+                           shifted, 0.0 < shifted < 1.0)

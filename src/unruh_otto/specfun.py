@@ -17,11 +17,12 @@ Direct summation
     drops below ``tol``.  It needs about log(1/tol) / |log z| terms, which
     grows without limit as z -> 1, so a hard term cap turns an input too
     close to 1 into a loud ``ResourceLimitError`` instead of a silent
-    truncation.  The chunk is the shortest power of two from 128 to 4096
-    whose tail is also below 2^-60 (a+1)^-s, under half an ulp of the sum.
-    numpy sums pairwise, so the sum of that prefix is the leftmost subtree
-    of the 4096-term sum and rounds to the same bytes, and it stops well
-    before the terms that underflow into subnormals.
+    truncation.  One call sums every order s at every shift a it is given
+    with one z^k and one chunk: the longest of the sums' shortest powers of
+    two, from 128 to 4096, whose tail is also below 2^-60 (a+1)^-s, under
+    half an ulp of the sum.  numpy sums pairwise, so the sum of each prefix
+    is the leftmost subtree of the 4096-term sum and rounds to the same
+    bytes, and the chunk stops before the terms that underflow.
 
 Log-z expansion
     For z near 1 (|log z| <= 2 pi / 100) and 0 < a <= 2 — which covers
@@ -46,6 +47,9 @@ Log-z expansion
     switch about five terms certify tol = 1e-12.  The switch is not lower
     because reduced accelerations up to 100, where the CLI's examples and
     tests live, keep the direct branch's exact output.
+
+    psi(a), zeta(n, a) and zeta(-k, a) depend on the shift alone and are
+    kept for the last few shifts: a sweep over x at fixed y reuses them.
 
 psi and zeta without scipy
     The expansion needs psi(a) and zeta(n, a), n = 2 .. s, for 0 < a <= 2.
@@ -72,6 +76,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_TERM_CAP = 10_000_000
 
 _CHUNK = 4096
+_TERMS = np.arange(float(_CHUNK))  # the indices k of one chunk, 32 KB
 # log of the largest float: a^-s is beyond the float range above it
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -85,6 +90,7 @@ _MAX_ORDER = 30
 # below 1e-18 of the value.
 _SHIFT = 8
 _SERIES_TERMS = 12
+_ZETA_NEGATIVE = {}  # a -> (zeta(0, a), zeta(-1, a), ...) at the last few a
 
 
 @functools.cache
@@ -144,7 +150,7 @@ def _digamma_1p(t: float) -> float:
     return t * total + difference - np.euler_gamma
 
 
-# j_function asks for psi at its two shifts once with s = 2 and once with s = 1
+# j_function asks for psi at its two shifts, in every call at the same y
 @functools.lru_cache(maxsize=2)
 def _digamma(a: float) -> float:
     """psi(a) for 0 < a <= 2, within about one ulp of max(1, |psi(a)|)."""
@@ -165,6 +171,7 @@ def _zeta_series(n: int) -> tuple:
     return tuple(coefficients)
 
 
+@functools.lru_cache(maxsize=2)  # as _digamma, for zeta(2, a)
 def _hurwitz_zeta(n: int, a: float) -> float:
     """zeta(n, a) = sum_k (a + k)^-n for integer n >= 2 and 0 < a <= 2.
 
@@ -199,33 +206,81 @@ def _log_z_series(w: float, s: int, a: float, tol: float):
     total += ((harmonic - np.euler_gamma - _digamma(a) - math.log(-w))
               * w ** (s - 1) / math.factorial(s - 1))
 
-    # zeta(-k, a) from B_{k+1} on (0, 1], reflected onto [0, 1/2] by
-    # B_n(1 - x) = (-1)^n B_n(x) to keep the polynomial's cancellation small
-    shifted = a > 1.0
-    b = a - 1.0 if shifted else a
-    x, flip = (1.0 - b, -1.0) if b > 0.5 else (b, 1.0)
-    sign = -flip  # -flip^n
-    polynomials = _bernoulli_polynomials()
+    # the bound fixes the number of terms before any zeta(-k, a) is needed
     power = w ** s / math.factorial(s)  # w^(s+k) / (s+k)!
+    powers = []
     bound = scale * math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r / (1.0 - r)
-    for k in range(_MAX_ORDER):
-        n = k + 1
-        bernoulli = 0.0
-        for c in polynomials[n]:
-            bernoulli = bernoulli * x + c
-        term = sign * bernoulli / n
-        sign *= flip
-        if shifted:
-            term -= b ** k
-        total += term * power
+    for n in range(1, _MAX_ORDER + 1):
+        powers.append(power)
         power *= w / (s + n)
         bound *= r  # z^-a times the first part of the bound, times (n+1)^s
         tail = bound / (n + 1) ** s
-        if shifted:
+        if a > 1.0:  # the shift a -> a-1 was taken
             tail += scale * abs(power) / (1.0 + w)
         if tail <= tol:
-            return scale * total
-    return None
+            break
+    else:
+        return None
+    # zeta(-k, a) = -B_{k+1}(a)/(k+1) on (0, 1] (x reflected onto [0, 1/2]
+    # by B_n(1 - x) = (-1)^n B_n(x), where the cancellation is small) and
+    # zeta(-k, a-1) - (a-1)^k on (1, 2].  A shift's tuple is replaced whole,
+    # never extended in place: threads that race on it only compute it twice.
+    zetas = _ZETA_NEGATIVE.get(a, ())
+    if len(zetas) < n:
+        b = a - 1.0 if a > 1.0 else a
+        x, flip = (1.0 - b, -1.0) if b > 0.5 else (b, 1.0)
+        more = []
+        for k in range(len(zetas), n):
+            bernoulli = 0.0
+            for c in _bernoulli_polynomials()[k + 1]:
+                bernoulli = bernoulli * x + c
+            term = -flip ** (k + 1) * bernoulli / (k + 1)
+            more.append(term - b ** k if a > 1.0 else term)
+        if not zetas and len(_ZETA_NEGATIVE) >= 4:
+            _ZETA_NEGATIVE.clear()
+        zetas = _ZETA_NEGATIVE[a] = zetas + tuple(more)
+    for zeta, power in zip(zetas, powers):
+        total += zeta * power
+    return scale * total
+
+
+def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
+                 tol: float = DEFAULT_TOL,
+                 max_terms: int = DEFAULT_TERM_CAP) -> list:
+    """phi(z, s, a) within ``tol`` for s in ``orders`` (rows) and a in
+    ``shifts`` (columns), for checked arguments: 0 < z < 1 and log_z = log z,
+    or z = 1 and log_z < 0 where the log-z expansion certifies every entry."""
+    near_one = -log_z <= _LOG_Z_SWITCH
+    table = [[_log_z_series(log_z, s, a, tol) if near_one and a <= 2.0
+              else None for a in shifts] for s in orders]
+    direct = [(row, j, s, a) for row, s in zip(table, orders)
+              for j, a in enumerate(shifts) if row[j] is None]
+
+    def tail(n, s, a):
+        return math.exp(n * log_z) / ((n + a) ** s * (1.0 - z))
+
+    # the longest of the shortest chunks that keep each sum's bytes (above)
+    chunk = 128
+    for row, j, s, a in direct:
+        row[j] = 0.0
+        floor = min(tol, 2.0 ** -60 * (a + 1.0) ** -s)
+        while chunk < _CHUNK and tail(chunk, s, a) > floor:
+            chunk *= 2
+    n = 0
+    while direct:  # past the first chunk, chunk == _CHUNK
+        if n >= max_terms:
+            raise ResourceLimitError(
+                f"lerch_phi needs more than {max_terms} terms at z={z!r}; "
+                "the mantissa is too close to 1 for direct summation")
+        k = _TERMS[:chunk] + n
+        powers, denominators = np.exp(k * log_z), np.add.outer(shifts, k)
+        sums = {s: np.add.reduce(powers / denominators ** s, axis=1)
+                for s in orders}
+        n += chunk
+        for row, j, s, _ in direct:
+            row[j] += float(sums[s][j])
+        direct = [d for d in direct if tail(n, d[2], d[3]) > tol]
+    return table
 
 
 def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
@@ -253,28 +308,4 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     if z == 0.0:
         return a ** (-s)
 
-    log_z = math.log(z)
-    if -log_z <= _LOG_Z_SWITCH and a <= 2.0:
-        value = _log_z_series(log_z, s, a, tol)
-        if value is not None:
-            return value
-
-    def tail(n):
-        return math.exp(n * log_z) / ((n + a) ** s * (1.0 - z))
-
-    # the shortest chunk that keeps the 4096-term sum's bytes (see above)
-    floor = min(tol, 2.0 ** -60 * (a + 1.0) ** -s)
-    chunk = 128
-    while chunk < _CHUNK and tail(chunk) > floor:
-        chunk *= 2
-    total = 0.0
-    n = 0
-    while n < max_terms:
-        k = np.arange(n, n + chunk, dtype=float)
-        total += float(np.sum(np.exp(k * log_z) / (k + a) ** s))
-        n += chunk
-        if tail(n) <= tol:
-            return total
-    raise ResourceLimitError(
-        f"lerch_phi needs more than {max_terms} terms at z={z!r}; "
-        "the mantissa is too close to 1 for direct summation")
+    return _lerch_table(z, math.log(z), (s,), (a,), tol, max_terms)[0][0]

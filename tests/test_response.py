@@ -1,10 +1,14 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unruh_otto import specfun
 from unruh_otto.errors import DomainError
 from unruh_otto.response import (V_MAX, delta_p, delta_p_unreduced,
                                  j_function, perturbative_validity, v_max_for,
@@ -217,3 +221,83 @@ def test_validity_rejects_infinite_coupling():
 def test_validity_speed_domain_without_population():
     with pytest.raises(DomainError, match=r"v out of \(0, tanh\(pi\)\)"):
         perturbative_validity(40.0, 0.999)
+
+
+# repr(J(x, y)) as computed before the Lerch sums of one call shared their
+# terms and the shift-only values were cached: both Lerch branches on both
+# sides of reduced acceleration 100, z rounding to 1 (|x| = 1e-18), y near 0
+# and y = 2 pi - 1e-3.  These pin bytes, not accuracy: the rows at
+# y = 2 pi - 1e-3 carry the double-pole cancellation (ROADMAP item 3).
+FROZEN_J = (
+    (-0.025, 2.1972245773362196, "0.026182410419473473"),
+    (-0.5, 2.1972245773362196, "-0.06446832440912838"),
+    (0.5, 2.1972245773362196, "0.21018474775789908"),
+    (-0.05, 2.1972245773362196, "0.0196349739247234"),
+    (0.05, 2.1972245773362196, "0.04710028114142614"),
+    (-0.010101010101010102, 2.1972245773362196, "0.03018546066512845"),
+    (0.010101010101010102, 2.1972245773362196, "0.03573400757759365"),
+    (-0.009900990099009901, 2.1972245773362196, "0.030239715785823712"),
+    (0.009900990099009901, 2.1972245773362196, "0.03567839048220049"),
+    (-0.0001, 2.1972245773362196, "0.032914903164271356"),
+    (0.0001, 2.1972245773362196, "0.03296983377870476"),
+    (-1e-06, 2.1972245773362196, "0.032942092116363716"),
+    (1e-06, 2.1972245773362196, "0.03294264142250805"),
+    (-1e-18, 2.1972245773362196, "0.03294236676926569"),
+    (1e-18, 2.1972245773362196, "0.03294236676926569"),
+    (-0.5, 1e-06, "-6.249997393237306e-08"),
+    (0.05, 1e-06, "6.250010598978765e-09"),
+    (-0.001, 1e-06, "-1.2498957424852753e-10"),
+    (-1e-18, 1e-06, "1.0436094008465246e-14"),
+    (-0.5, 0.001, "-6.247396636961901e-05"),
+    (0.05, 0.001, "6.2605704443749575e-06"),
+    (-0.001, 0.001, "-1.1458569335319339e-07"),
+    (-0.5, 6.282185307179586, "-0.07144619256743567"),
+    (0.05, 6.282185307179586, "0.20224495183961722"),
+    (-0.001, 6.282185307179586, "0.1604103329311073"),
+    (1e-18, 6.282185307179586, "0.1611948693171094"),
+)
+
+
+@pytest.mark.parametrize("x,y,expected", FROZEN_J)
+def test_j_bytes_are_frozen(x, y, expected):
+    assert repr(j_function(x, y)) == expected
+
+
+def _clear_shift_caches():
+    specfun._digamma.cache_clear()
+    specfun._hurwitz_zeta.cache_clear()
+    specfun._ZETA_NEGATIVE.clear()
+
+
+# both Lerch branches at every y: the log-z one from reduced acceleration 100
+SWEEP_X = tuple(sign / a for a in (2.0, 40.0, 99.0, 101.0, 215.0, 1e4, 1e6)
+                for sign in (-1.0, 1.0))
+
+
+def test_shift_caches_keep_bytes():
+    rng = random.Random(24)
+    ys = [rng.uniform(0.01, 2.0 * math.pi - 0.01) for _ in range(6)]
+    points = [(x, y) for y in ys for x in SWEEP_X]
+    cold = {}
+    for point in points:
+        _clear_shift_caches()
+        cold[point] = repr(j_function(*point))
+    in_sweep_order = {point: repr(j_function(*point)) for point in points}
+    interleaved = {(x, y): repr(j_function(x, y))
+                   for x in SWEEP_X for y in ys}
+    assert in_sweep_order == cold
+    assert interleaved == cold
+
+    # four threads share the caches; a short switch interval lets them
+    # interleave inside a call
+    calls = [rng.choice(points) for _ in range(800)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(
+                lambda part: [repr(j_function(*c)) for c in part],
+                [calls[i::4] for i in range(4)], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [[cold[c] for c in calls[i::4]] for i in range(4)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from unruh_otto.errors import DomainError, ResourceLimitError
 from unruh_otto.specfun import (_bernoulli_numbers, _digamma, _hurwitz_zeta,
-                                lerch_phi)
+                                _lerch_table, lerch_phi)
 
 # independently computed with 50-digit working precision
 GOLDEN = 0.9522918415301704  # z=0.9, s=2, a=1.3
@@ -196,3 +196,20 @@ def test_lerch_beyond_float_range_is_inf(z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert lerch_phi(z, 60, 1e-6) == math.inf
+
+
+@pytest.mark.parametrize("z", [0.3, 0.99, math.exp(-2.0 * math.pi / 150.0),
+                               0.9999],
+                         ids=["short", "long", "log-z", "multi-chunk"])
+def test_lerch_table_entries_are_lerch_phi(z):
+    # one chunk and one z^k serve every direct entry, beside log-z entries
+    # (shifts <= 2) and sums of more than one chunk (shifts > 2 at z = 0.9999)
+    orders, shifts = (1, 2, 3), (0.3, 1.7, 2.5, 7.0)
+    table = _lerch_table(z, math.log(z), orders, shifts)
+    assert table == [[lerch_phi(z, s, a) for a in shifts] for s in orders]
+
+
+def test_lerch_table_keeps_the_term_cap():
+    with pytest.raises(ResourceLimitError, match="more than 5000 terms"):
+        _lerch_table(0.999999, math.log(0.999999), (1, 2), (1.5, 5.0),
+                     max_terms=5000)
