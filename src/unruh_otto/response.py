@@ -182,11 +182,11 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
     _check_reduced_point(a, 0.0, v, g)  # p, if given, is checked by delta_p
 
     ratio = a / (g * g * math.atanh(v))
-    verdict = (ratio, ratio >= VALIDITY_MARGIN, v_max_for(a, g))
+    fields = (ratio, ratio >= VALIDITY_MARGIN, v_max_for(a, g))
     if p is None:
-        return ValidityVerdict(*verdict)
+        return ValidityVerdict(*fields)
     shifted = p + delta_p(a, p, v, g)
-    return ValidityVerdict(*verdict, shifted, 0.0 < shifted < 1.0)
+    return ValidityVerdict(*fields, shifted, 0.0 < shifted < 1.0)
 
 
 def with_population(verdict: ValidityVerdict, p: float,
