@@ -15,8 +15,9 @@ Column sets are frozen per command; any future extension may only
 append columns.
 
 Exit codes: 0 success, 1 check failed (oracle-check mismatch),
-2 domain error (single-line diagnostic on stderr), 3 numerical
-non-convergence or a failed internal consistency check.
+2 domain error (single-line diagnostic on stderr), 3 an oracle value or
+error estimate beyond the float range, or a failed internal consistency
+check.
 """
 
 import argparse
@@ -317,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representation", choices=("imagesum1d", "sinh2d"),
                    default="imagesum1d")
     spec = QuadratureSpec()
-    p.add_argument("--window", type=float, default=spec.window)
+    p.add_argument("--window", type=float, default=spec.window,
+                   help="cap on the quadrature's half-width in units of T; "
+                        "each route stops where the kernel's tail bound "
+                        "falls to 1e-15 (default: %(default)s)")
     p.add_argument("--abs-tol", type=float, default=spec.abs_tol)
     p.add_argument("--rel-tol", type=float, default=spec.rel_tol)
     p.add_argument("--expect-fail", action="store_true",

@@ -176,7 +176,9 @@ def _fixed_point(a_H: float, a_C: float, v: float,
 
     y = 2.0 * math.atanh(v)
     j_hot, j_cold = j_function(-1.0 / a_H, y), j_function(-1.0 / a_C, y)
-    pump = 2.0 * a_H * a_C * (j_hot + j_cold) / ((a_H + a_C) * math.atanh(v))
+    rate = (a_H + a_C) * math.atanh(v)
+    # where the product underflows, P is a 0/0 that the check below refuses
+    pump = 2.0 * a_H * a_C * (j_hot + j_cold) / rate if rate > 0.0 else math.nan
 
     denom = 1.0 + 2.0 * pump
     if denom == 0.0 or not math.isfinite(pump):

@@ -14,7 +14,7 @@ Window units
 Over the time separation u the window product collapses to the weight
 w_T(u) = pi T^3 / (4 (u^2 + T^2)).  In units s = u/T the integral reads
 
-    value = Integral_{|s| <= window} ds w_1(s) e^{i q s} K(s),   K = T^2 G(s T),
+    value(W) = Integral_{|s| <= W} ds w_1(s) e^{i q s} K(s),   K = T^2 G(s T),
 
 a function of y = alpha T and q = omega T alone: the two reduced numbers
 of the closed form J(omega/alpha, alpha T).  Both kernels are
@@ -22,7 +22,7 @@ of the closed form J(omega/alpha, alpha T).  Both kernels are
     K(s) = -1 / (4 pi^2 (s - i0)^2) + R(s),
 
 with R real, even and regular, so each route rescales once on entry and
-supplies only R and its break points:
+supplies only R:
 
 ``integrate_imagesum_1d``
     the image expansion, R = -[images at s = +-2 pi i k/y] / (4 pi^2),
@@ -47,19 +47,33 @@ differentiated Sokhotski-Plemelj identity
     1 / (s - i0)^2 = f.p. 1/s^2 - i pi delta'(s)
 
 (Gel'fand & Shilov, Generalized Functions I, section I.3) gives, with
-w_1(0) = pi/4 and W = window, the finite part
+w_1(0) = pi/4, the finite part
 Integral_{|s| <= W} (w_1(s) cos(q s) - w_1(0)) / s^2 ds - 2 w_1(0) / W, and
 the delta' term -pi q w_1(0).  Since (w_1(s) cos(q s) - w_1(0)) / s^2 =
 -w_1(s) (2 sin^2(q s / 2) / s^2 + 1), which does not cancel,
 
-    value = 2 Integral_0^W w_1(s) [cos(q s) R(s) + (2 sin^2(q s / 2) / s^2 + 1) / (4 pi^2)] ds
-            + 1 / (8 pi W) + q / 16,
+    value(W) = 2 Integral_0^W w_1(s) [cos(q s) R(s) + (2 sin^2(q s / 2) / s^2 + 1) / (4 pi^2)] ds
+               + 1 / (8 pi W) + q / 16,
 
 one real quadrature and no regulator.  The delta' term alone carries the
-odd part, value(q) - value(-q) = q/8.  The error estimate is the
-quadrature error, plus the exact integral of a majorant of the two tails
-cut at |s| = window, plus, for the 1-D route, the first term its power
-series over the far images drops.
+odd part, value(q) - value(-q) = q/8.
+
+Where the quadrature stops
+--------------------------
+For s > 0 both kernels are K = -1/(4 pi^2 s^2) + R with
+|K| = y^2 / (16 pi^2 sinh^2(y s / 2)), and 2 sin^2(q s / 2) = 1 - cos(q s),
+so the integrand above is exactly 1/(16 pi s^2) - w_1(s) cos(q s) |K(s)|.
+On [S, W] its first part integrates to (1/(8 pi)) (1/S - 1/W), which
+cancels the closed-form term 1/(8 pi W) - 1/(8 pi S), hence
+
+    value(W) - value(S) = -2 Integral_S^W w_1(s) cos(q s) |K(s)| ds,
+
+at most ``_window_tail(y, S)`` for every W >= S, infinity included.  So
+the window is only a cap: both routes stop at S = ``_cut(y, window)``,
+and their error estimate is the quadrature error, plus
+``_window_tail(y, S)``, plus, for the 1-D route, the first term its power
+series over the far images drops.  The image poles are no features of
+the (smooth) integrand, so both routes share one set of break points.
 
 Normalization
 -------------
@@ -88,6 +102,7 @@ from .errors import DomainError, NonConvergenceError, check_positive
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQUARED = 4.0 * math.pi ** 2
 _QUAD_LIMIT = 300
+_EPSABS = 1e-15    # quad's absolute tolerance, and the window-tail bound at the cut
 _FAR_TERMS = 12    # of the power series over the far images
 
 
@@ -105,7 +120,9 @@ class QuadratureSpec:
     abs_tol / rel_tol
         Error budget of the CLI's closed-form comparison.
     window
-        Half-width of the u-window of both routes, in multiples of T.
+        Cap on the half-width of the u-window of both routes, in multiples
+        of T.  Each route stops earlier where the kernel's majorant allows
+        (module docstring, "Where the quadrature stops").
     """
     epsilon_list: Tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
     k_max: int = 20000
@@ -203,34 +220,51 @@ def _window_tail(y: float, window: float) -> float:
     return r / (8.0 * math.pi * window * (window * window + 1.0))
 
 
-def _check_break_points(count: float) -> None:
-    if count >= _QUAD_LIMIT:
-        raise NonConvergenceError(
-            f"{count:.6g} break points leave no room within the "
-            f"quadrature's {_QUAD_LIMIT} subintervals")
+def _cut(y: float, window: float) -> float:
+    """Where both routes stop: the first s = 2^n min(1, 1/y) at which
+    ``_window_tail(y, s)`` is at most _EPSABS, or the window, if that comes
+    first (module docstring).  The bound is below 1 / (8 pi s^3), so the
+    cut stays below 7e4 however small y is, and below 2^9 / y wherever R
+    is in the float range."""
+    s = min(window, 1.0, 1.0 / y)
+    while s < window and _window_tail(y, s) > _EPSABS:
+        s *= 2.0
+    return min(s, window)
 
 
-def _integrate(remainder, points: list, y: float, q: float, window: float,
-               representation: str, remainder_error: float = 0.0) -> OracleResult:
+def _integrate(route, y: float, q: float, window: float,
+               representation: str) -> OracleResult:
     """Integrate w_1(s) e^{i q s} K(s) over |s| <= window at epsilon -> 0.
 
-    K = -1/(4 pi^2 (s - i0)^2) + remainder(s); the singular part is taken
-    in closed form (module docstring), so one real quadrature over
-    [0, window], with the break points ``points``, remains.  Error: the
-    quadrature error + the window tails + ``remainder_error``, a bound on
-    the value's error from the approximations inside ``remainder``.  A
-    value or estimate beyond the float range is NonConvergenceError.
+    K = -1/(4 pi^2 (s - i0)^2) + R(s); the singular part is taken in
+    closed form (module docstring), so one real quadrature over [0, S],
+    S = ``_cut(y, window)``, remains.  ``route(S)`` returns R and a bound
+    on the value's error from the approximations inside R.  R falls from
+    its value at s = 0 to 1 / (4 pi^2 s^2) around s = 2 / y; break points
+    at 2/y, 8/y, 32/y, ... below S keep the quadrature from stepping over
+    that where it is narrow against the Lorentzian width 1 (at most 5,
+    since S is below 2^9 / y).  Error: the quadrature error
+    + ``_window_tail(y, S)`` + the bound from ``route``.  A value or
+    estimate beyond the float range is NonConvergenceError.
     """
+    cut = _cut(y, window)
+    remainder, remainder_error = route(cut)
+    points = []
+    s = 2.0 / y
+    while s < cut:
+        points.append(s)
+        s *= 4.0
+
     def integrand(s):
         t = math.sin(0.5 * q * s) / s
         return _window_weight(s) * (
             math.cos(q * s) * remainder(s) + (2.0 * t * t + 1.0) / FOUR_PI_SQUARED)
 
-    val, err = quad(integrand, 0.0, window, points=points or None,
-                    limit=_QUAD_LIMIT, epsabs=0.5e-12, epsrel=1e-10)
-    # 2 w_1(0) / W and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
-    value = 2.0 * val + 1.0 / (8.0 * math.pi * window) + q / 16.0
-    error = 2.0 * abs(err) + _window_tail(y, window) + remainder_error
+    val, err = quad(integrand, 0.0, cut, points=points or None,
+                    limit=_QUAD_LIMIT, epsabs=_EPSABS, epsrel=1e-13)
+    # 2 w_1(0) / S and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
+    value = 2.0 * val + 1.0 / (8.0 * math.pi * cut) + q / 16.0
+    error = 2.0 * abs(err) + _window_tail(y, cut) + remainder_error
     if not (math.isfinite(value) and math.isfinite(error)):
         raise NonConvergenceError(
             f"oracle value {value!r} with error estimate {error!r} leaves "
@@ -247,23 +281,18 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     evaluates  -1/(16 pi) Integral ds e^{i q s} / (s^2 + 1) *
     [ 1/(s - i0)^2 + sum_{k=1}^{inf} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
     over |s| <= window, with every image summed (``_image_remainder``).
-    Each image pole c k inside the window is a quadrature break point; 300
-    or more break points (about window * y / pi) raise NonConvergenceError
-    before the poles are listed.
+    The quadrature stops at the cut of ``_integrate``, and the near images
+    are counted from it, so no window is too long.
     """
     y, q = _reduced(alpha, omega, T, spec)
-    c = TWO_PI / y
-    n_images = spec.window // c
-    _check_break_points(2.0 * n_images)
-    image_points = [c * k for k in range(1, int(n_images) + 1)]
-    remainder, remainder_error = _image_remainder(y, spec.window)
-    return _integrate(remainder, image_points, y, q, spec.window,
-                      "imagesum1d", remainder_error)
+    return _integrate(lambda cut: _image_remainder(y, cut), y, q,
+                      spec.window, "imagesum1d")
 
 
 def _image_remainder(y: float, window: float):
-    """R(s) of ``integrate_imagesum_1d`` summed over every image, and a
-    bound on the value's error from the series of the far images.
+    """R(s) of ``integrate_imagesum_1d`` summed over every image for
+    0 <= s <= window, and a bound on the value's error from the series of
+    the far images.
 
     With t = s y / (2 pi), the pair at s = +-2 pi i k / y is
     2 (y / 2 pi)^2 (t^2 - k^2) / (t^2 + k^2)^2.  The pairs up to
@@ -321,20 +350,12 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
 
         1/2 Integral dr 1 / (((r+s)^2 + 1) ((r-s)^2 + 1)) = pi / (4 (s^2 + 1)),
 
-    so one adaptive quadrature over [0, window] remains.  R falls from
-    y^2 / (48 pi^2) to 1 / (4 pi^2 s^2) around s = 2 / y; where that is
-    narrow against the Lorentzian width 1, break points at 2/y, 8/y, 32/y,
-    ... below 0.1 keep the quadrature from stepping over it, and 150 or
-    more of them (y beyond about 1e91) raise NonConvergenceError.
+    so one adaptive quadrature remains, which stops at the cut of
+    ``_integrate``.
     """
     y, q = _reduced(alpha, omega, T, spec)
-    points = []
-    s = 2.0 / y
-    while s < 0.1:
-        points.append(s)
-        s *= 4.0
-    _check_break_points(2.0 * len(points))
-    return _integrate(_sinh_remainder(y), points, y, q, spec.window, "sinh2d")
+    return _integrate(lambda cut: (_sinh_remainder(y), 0.0), y, q,
+                      spec.window, "sinh2d")
 
 
 def _sinh_remainder(y: float):

@@ -163,10 +163,10 @@ def v_max_for(a: float, g: float = 1.0) -> float:
 class ValidityVerdict:
     """Outcome of the perturbative small-correction check.
 
-    ``ratio`` is a / (g^2 * arctanh(v)); the check passes when it is at
-    least ``VALIDITY_MARGIN``.  When an initial population was supplied,
-    the corrected population p + delta_p and its membership in (0, 1) are
-    reported as well.
+    ``ratio`` is a / (g^2 * arctanh(v)), inf where that product underflows
+    to 0; the check passes when it is at least ``VALIDITY_MARGIN``.  When
+    an initial population was supplied, the corrected population
+    p + delta_p and its membership in (0, 1) are reported as well.
     """
     ratio: float
     passed: bool
@@ -181,12 +181,12 @@ def perturbative_validity(a: float, v: float, g: float = 1.0,
     |delta_p| << 1."""
     _check_reduced_point(a, 0.0, v, g)  # p, if given, is checked by delta_p
 
-    ratio = a / (g * g * math.atanh(v))
-    fields = (ratio, ratio >= VALIDITY_MARGIN, v_max_for(a, g))
+    scale = g * g * math.atanh(v)
+    ratio = a / scale if scale > 0.0 else math.inf   # the product underflows
+    verdict = ValidityVerdict(ratio, ratio >= VALIDITY_MARGIN, v_max_for(a, g))
     if p is None:
-        return ValidityVerdict(*fields)
-    shifted = p + delta_p(a, p, v, g)
-    return ValidityVerdict(*fields, shifted, 0.0 < shifted < 1.0)
+        return verdict
+    return with_population(verdict, p, delta_p(a, p, v, g))
 
 
 def with_population(verdict: ValidityVerdict, p: float,

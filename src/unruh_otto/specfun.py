@@ -291,7 +291,10 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     ResourceLimitError if direct summation cannot meet the tail bound
     within ``max_terms`` terms: z too close to 1 while a > 2, or a tol
     below what the log-z expansion can certify.  Where the first term
-    a^-s alone is beyond the float range the value is inf.
+    a^-s alone is beyond the float range the value is inf.  Where a^s is
+    (within a factor e), every term is below e / (largest float), and the
+    value is a^-s / (1 - z): within tol, to rounding once a (1 - z) >> s,
+    and 0.0 where a^-s underflows.
     """
     z = float(z)
     a = float(a)
@@ -303,9 +306,12 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     check_positive("tol", tol)
     s = int(s)
 
-    if s * math.log(a) < -_LOG_MAX:
+    log_a_s = s * math.log(a)
+    if log_a_s < -_LOG_MAX:
         return math.inf
     if z == 0.0:
         return a ** (-s)
+    if log_a_s > _LOG_MAX - 1.0:  # the terms' (n + a)^s would overflow
+        return a ** (-s) / (1.0 - z)
 
     return _lerch_table(z, math.log(z), (s,), (a,), tol, max_terms)[0][0]

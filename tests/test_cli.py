@@ -116,6 +116,15 @@ def test_infinite_coupling_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_delta_p_where_validity_product_underflows():
+    # g^2 atanh(v) = 1e-336 rounds to 0.0: a ZeroDivisionError traceback
+    # (exit 1) before; the ratio a / 0 is inf, and the verdict passes
+    proc = run("delta-p", "--a", "1", "--p", "0.3", "--v", "1e-300",
+               "--g", "1e-18", check=True)
+    assert proc.stdout == ("a,p,v,g,delta_p,valid,in_unit_interval,j_value\n"
+                           "1.0,0.3,1e-300,1e-18,-0.0,true,true,0.0\n")
+
+
 def test_speed_domain_error():
     proc = run("delta-p", "--a", "40", "--p", "0.1", "--v", "1.1", "--g", "1")
     assert proc.returncode == 2
@@ -224,6 +233,17 @@ def test_solve_grid_diagonal_is_infeasible():
     assert len(diagonal) == 6
     assert all(r["dp_hot"] == "0.0" and r["feasible"] == "false"
                for r in diagonal)
+
+
+def test_solve_grid_where_pump_underflows_exits_2():
+    # (a_H + a_C) atanh(v) = 3e-600 rounds to 0.0, and so does the
+    # numerator: a ZeroDivisionError traceback (exit 1) before
+    proc = run("solve-grid", "--a-min", "1e-300", "--a-max", "2e-300",
+               "--count", "2", "--v", "1e-300")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: critical probability diverges for these "
+                           "parameters\n")
+    assert proc.stdout == ""
 
 
 def test_compare_classical_table():
@@ -345,12 +365,20 @@ def test_oracle_check_k_max_flag_is_gone():
     assert proc.stdout == ""
 
 
-def test_oracle_check_long_window_exits_3():
-    proc = run("oracle-check", "--alpha", "1", "--omega", "0.5",
-               "--duration", "1", "--window", "2000")
-    assert proc.returncode == 3
-    assert "break points" in proc.stderr
-    assert proc.stdout == ""
+@pytest.mark.parametrize("flags", [
+    ["--omega", "0.5", "--window", "2000"],
+    ["--omega", "1", "--window", "1e5", "--representation", "sinh2d"]],
+    ids=["imagesum1d-2000", "sinh2d-1e5"])
+def test_oracle_check_long_window_passes(flags):
+    # the window is only a cap: both routes stop at s = 32 for alpha T = 1.
+    # The image route refused 636 break points at window 2000 (exit 3), and
+    # the sinh route stepped over the integrand at 1e5 (j = -1.3e-15
+    # against J = 0.175, exit 1)
+    proc = run("oracle-check", "--alpha", "1", "--duration", "1", *flags,
+               check=True)
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["passed"] is True
+    assert row["abs_diff"] <= row["j_error_estimate"] <= 1e-14
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -126,6 +126,13 @@ def test_fixed_point_domain(args):
         critical_probability(*args)
 
 
+def test_fixed_point_where_the_pump_underflows():
+    # (a_H + a_C) atanh(v) = 3e-600 rounds to 0.0, and so does the
+    # numerator: a ZeroDivisionError before
+    with pytest.raises(DomainError, match="critical probability diverges"):
+        critical_probability(1e-300, 2e-300, 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # cycle solution
 

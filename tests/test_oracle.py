@@ -90,17 +90,21 @@ def test_window_weight_is_the_exact_convolution(u, T):
                                                       abs=0.0)
 
 
+def _abs_kernel(y, s):
+    """|K(s)| off the diagonal, with 1/sinh^2(y s / 2) taken as
+    4 e^{-y s} / (1 - e^{-y s})^2, which does not overflow."""
+    x = y * s
+    return y * y / (16.0 * math.pi ** 2) * 4.0 * math.exp(-x) / math.expm1(-x) ** 2
+
+
 def _assert_tail_bound_is_tight(y, window):
     """2 tail <= _window_tail(y, window) <= 3 * 2 tail, where tail is one side
     of the cut, w_1 |K| integrated from the window to infinity, and 3 is
-    the supremum, approached as y window -> 0 with window >> 1.  |K| at
-    eps = 0 takes 1/sinh^2(y s / 2) as 4 e^{-y s} / (1 - e^{-y s})^2, which
-    does not overflow.  Where both sides underflow (y window beyond about
-    700) they are compared to the smallest normal float."""
+    the supremum, approached as y window -> 0 with window >> 1.  Where both
+    sides underflow (y window beyond about 700) they are compared to the
+    smallest normal float."""
     def cut(s):
-        x = y * s
-        inv_sinh2 = 4.0 * math.exp(-x) / math.expm1(-x) ** 2
-        return _window_weight(s) * y * y / (16.0 * math.pi ** 2) * inv_sinh2
+        return _window_weight(s) * _abs_kernel(y, s)
 
     one_side, _ = quad(cut, window, math.inf, limit=200, epsabs=0.0,
                        epsrel=1e-12)
@@ -352,10 +356,15 @@ def test_long_contact_sinh2d(y):
     assert abs(res.value - limit) <= res.error_estimate + 1.0 / y
 
 
-def test_huge_alpha_T_sinh2d_is_typed_error():
-    # 151 break points from 2/y up to 0.1
-    with pytest.raises(NonConvergenceError, match="break points"):
-        integrate_sinh_2d(1e92, 1.0, 1.0)
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+def test_huge_alpha_T_meets_long_contact_limit(integrate):
+    # alpha T = 1e92: the sinh route refused 151 break points from 2/y up
+    # to 0.1.  The cut at 2^8 / y leaves 4, and both routes meet the
+    # long-contact limit of test_long_contact_sinh2d
+    res = integrate(1e92, 1.0, 1.0)
+    limit = 1e92 / (16.0 * math.pi) + 1.0 / 16.0
+    assert abs(res.value - limit) <= 1e-15 * limit <= res.error_estimate
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,38 +381,92 @@ def test_huge_alpha_T_imagesum_is_typed_error():
 def test_large_alpha_T_tiny_window_imagesum():
     # alpha T = 1e100 in a window of 1e-100: R is near 2e197, in range, but
     # the power sums' (y / 2 pi)^(2j) is not from j = 2 on, which gave a
-    # nan and NonConvergenceError after numpy's overflow warning.  The sinh
-    # route's break points at 2/y, 8/y, ... below 0.1 are too many here, so
-    # its R goes through _integrate directly.  w_1 is flat on the scale
-    # 1/y, so the two tails are (y / 16 pi)(coth(1/2) - 1) = 2.32e98 and
-    # the error estimate is little more; the bound through w_1 < pi / (4 s^2)
-    # made it 3.7e298
+    # nan and NonConvergenceError after numpy's overflow warning.  w_1 is
+    # flat on the scale 1/y, so the two tails are
+    # (y / 16 pi)(coth(1/2) - 1) = 2.32e98 and the error estimate is little
+    # more; the bound through w_1 < pi / (4 s^2) made it 3.7e298
     y, window = 1e100, 1e-100
     res = integrate_imagesum_1d(y, 1.0, 1.0, QuadratureSpec(window=window))
-    ref = oracle._integrate(_sinh_remainder(y), [], y, 1.0, window, "sinh2d")
+    ref = integrate_sinh_2d(y, 1.0, 1.0, QuadratureSpec(window=window))
     assert res.value == pytest.approx(ref.value, rel=1e-12)
     for result in (res, ref):
         assert result.error_estimate <= 2.4e98
 
 
-def test_long_window_imagesum_is_typed_error():
-    # the same window puts 636 image poles in as break points, past quad's
-    # 300 subintervals: an untyped ValueError before
-    with pytest.raises(NonConvergenceError, match="break points"):
-        integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
+def test_long_window_imagesum_meets_closed_form():
+    # the same window held 636 image poles, each a break point, which the
+    # route refused (NonConvergenceError); it now stops at the cut s = 32
+    res = integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=2000.0))
+    assert abs(res.j_estimate - j_function(0.5, 1.0)) <= res.j_error_estimate
 
 
-def test_long_window_imagesum_counts_poles_first():
-    # window = 1e6 holds 318308 image poles; they are counted before any
-    # list of them is built, so the typed error costs no memory
+def test_long_window_imagesum_memory_stays_small():
+    # window = 1e6 holds 318308 image poles; the near images are counted
+    # from the cut, not the window, so the table stays small
     tracemalloc.start()
     try:
-        with pytest.raises(NonConvergenceError, match="break points"):
-            integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=1e6))
+        res = integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=1e6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert abs(res.j_estimate - j_function(0.5, 1.0)) <= res.j_error_estimate
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+@pytest.mark.parametrize("window", [1e5, 1e7, 1e300])
+def test_long_window_meets_closed_form(integrate, window):
+    # at window 1e5 the sinh route stepped over the integrand and returned
+    # j = -1.3e-15 against J = 0.175, within a claimed 3.8e-12, and 0.0 at
+    # 1e7; the image route refused every such window.  Both stop at the
+    # cut s = 32 now
+    res = integrate(1.0, 1.0, 1.0, QuadratureSpec(window=window))
+    assert abs(res.j_estimate - j_function(1.0, 1.0)) <= res.j_error_estimate
+    assert res.j_error_estimate <= 1e-14
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+def test_long_window_at_small_alpha_T(integrate):
+    # alpha T = 1e-10 and 1e-200: the cut does not start from 1/y, or a
+    # quadrature over [0, 1e10] would step over the Lorentzian and return
+    # j = -1/8 with an estimate of 7e-21.  The cut is below 7e4 for every y
+    for y in (1e-10, 1e-200):
+        res = integrate(y, 0.3 * y, 1.0, QuadratureSpec(window=1e300))
+        diff = abs(res.j_estimate - vacuum_response(y, 0.3 * y, 1.0))
+        assert diff <= res.j_error_estimate <= 1e-14
+
+
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+def test_cut_is_exact_within_the_tail_bound(integrate):
+    # value(W) - value(S) = -2 Integral_S^W w_1(s) cos(q s) |K(s)| ds for
+    # W >= S, at most _window_tail(y, S) (module docstring), between the
+    # cut S of a short window and the cut W of the longest: log-uniform y
+    # in [1e-2, 30], short window in [0.1, 30] and |q / y| in [1e-3, 5].
+    # Beyond |q / y| = 5 at small y, the long cut holds tens of periods of
+    # cos(q s), and quad's estimate can fall short of its error (3x at
+    # y = 0.03, q = -0.68; ROADMAP item 5)
+    rng = random.Random(2611)
+    for _ in range(40):
+        y = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+        q = rng.choice((-1.0, 1.0)) * y * 10.0 ** rng.uniform(-3.0, math.log10(5.0))
+        short = 10.0 ** rng.uniform(-1.0, math.log10(30.0))
+        S, W = oracle._cut(y, short), oracle._cut(y, 1e300)
+        capped = integrate(y, q, 1.0, QuadratureSpec(window=short))
+        full = integrate(y, q, 1.0, QuadratureSpec(window=1e300))
+        between, between_error = oracle.quad(
+            lambda s: _window_weight(s) * math.cos(q * s) * _abs_kernel(y, s),
+            S, W, limit=1000, epsabs=1e-17, epsrel=1e-14)
+        # each estimate less its tail bound: the quadratures' own errors
+        slack = (capped.error_estimate - _window_tail(y, S)
+                 + full.error_estimate - _window_tail(y, W)
+                 + 2.0 * between_error + 4 * EPS * abs(full.value))
+        between *= -2.0
+        difference = full.value - capped.value
+        assert abs(difference - between) <= slack
+        assert abs(difference) <= _window_tail(y, S) + slack
 
 
 def test_value_beyond_float_range_is_typed_error():

@@ -213,6 +213,14 @@ def test_validity_reports_shifted_population():
     assert verdict.in_unit_interval is True
 
 
+def test_validity_where_the_product_underflows():
+    # g^2 atanh(v) = 1e-336 rounds to 0.0, where a / 0 raised
+    # ZeroDivisionError; the ratio is inf, and p + delta_p is p
+    verdict = perturbative_validity(1.0, 1e-300, 1e-18, p=0.3)
+    assert verdict.ratio == math.inf and verdict.passed
+    assert verdict.population_after == 0.3 and verdict.in_unit_interval
+
+
 def test_validity_rejects_infinite_coupling():
     with pytest.raises(DomainError, match="g must be positive and finite"):
         perturbative_validity(40.0, 0.8, g=math.inf)

@@ -198,6 +198,21 @@ def test_lerch_beyond_float_range_is_inf(z):
         assert lerch_phi(z, 60, 1e-6) == math.inf
 
 
+@pytest.mark.parametrize("s, a", [(2, 1e150), (2, 1.3e154), (2, 1.4e154),
+                                  (2, 1e160), (2, 1e300), (1, 1e308)])
+def test_lerch_at_huge_shift(s, a):
+    # (n + a)^s beyond the float range raised an untyped OverflowError in
+    # the tail bound from a = 1.4e154 at s = 2.  (1 + k / a)^-s rounds to 1,
+    # so phi = a^-s / (1 - z): subnormal from a = 1.3e154 and 0.0 at
+    # a = 1e300, where a^-s underflows
+    z = 0.8
+    want = float(1 / (Fraction(a) ** s * (1 - Fraction(z))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = lerch_phi(z, s, a)
+    assert value == pytest.approx(want, rel=4 * EPS, abs=4 * 5e-324)
+
+
 @pytest.mark.parametrize("z", [0.3, 0.99, math.exp(-2.0 * math.pi / 150.0),
                                0.9999],
                          ids=["short", "long", "log-z", "multi-chunk"])
