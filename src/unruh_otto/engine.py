@@ -145,15 +145,18 @@ def stage_ledger(cfg: EngineConfig, dp_hot: float) -> StageLedger:
 def critical_probability(a_H: float, a_C: float, v: float) -> float:
     """Initial population at which the hot and cold contact kicks cancel.
 
-    Solving dp(a_H, p) + dp(a_C, p) = 0 for p gives the closed form
-    p0 = P / (1 + 2 P) with
+    Solving dp(a_H, p) + dp(a_C, p) = 0 for p gives p0 = P / (1 + 2 P)
+    with P = 2 a_H a_C (J_H + J_C) / ((a_H + a_C) t), where
+    J_H = J(-1/a_H, y), J_C = J(-1/a_C, y), t = atanh(v) and y = 2 t.
+    It is computed in reciprocal accelerations, which neither overflow nor
+    underflow where a_H a_C or (a_H + a_C) t would:
 
-        P = 2 a_H a_C [J(-1/a_H, y) + J(-1/a_C, y)]
-            / ((a_H + a_C) atanh(v)),        y = 2 atanh(v).
+        p0 = 2 S / D,    S = J_H + J_C,    D = (1/a_H + 1/a_C) t + 4 S.
 
     The result is cross-checked by substituting it back into the two
     population kicks, built from the same two J values; a residual above
-    1e-10 raises ConsistencyError.
+    1e-10 raises ConsistencyError.  DomainError is raised only where D is
+    0 or not finite.
     p0 is a fixed point of the linearized population dynamics, not
     automatically a probability: it is negative whenever the response
     offsets sum negative (both contacts de-exciting), and a cycle is
@@ -166,24 +169,24 @@ def _fixed_point(a_H: float, a_C: float, v: float,
                  g: float = 1.0) -> Tuple[float, float]:
     """p0 of :func:`critical_probability` and the hot kick dp_hot there.
 
-    Substituting p0 into the hot kick gives
-    dp_hot = g^2 (a_H J_H - a_C J_C) / ((a_H + a_C)(1 + 2 P)), which is
-    exactly 0 when a_H = a_C.
+    Substituting p0 into the hot kick gives, over the same denominator D,
+
+        dp_hot = g^2 t (J_H / a_C - J_C / a_H) / D,
+
+    whose numerator is exactly 0 when a_H = a_C.
     """
     check_positive("a_H", a_H)
     check_positive("a_C", a_C)
     _check_speed(v)
 
-    y = 2.0 * math.atanh(v)
+    t = math.atanh(v)
+    y = 2.0 * t
     j_hot, j_cold = j_function(-1.0 / a_H, y), j_function(-1.0 / a_C, y)
-    rate = (a_H + a_C) * math.atanh(v)
-    # where the product underflows, P is a 0/0 that the check below refuses
-    pump = 2.0 * a_H * a_C * (j_hot + j_cold) / rate if rate > 0.0 else math.nan
-
-    denom = 1.0 + 2.0 * pump
-    if denom == 0.0 or not math.isfinite(pump):
+    offset = j_hot + j_cold
+    denom = (1.0 / a_H + 1.0 / a_C) * t + 4.0 * offset
+    if denom == 0.0 or not math.isfinite(denom):
         raise DomainError("critical probability diverges for these parameters")
-    p0 = pump / denom
+    p0 = 2.0 * offset / denom
 
     kick_hot, kick_cold = kick(j_hot, a_H, p0, v), kick(j_cold, a_C, p0, v)
     scale = max(abs(kick_hot), abs(kick_cold), 1.0)
@@ -191,7 +194,7 @@ def _fixed_point(a_H: float, a_C: float, v: float,
         raise ConsistencyError(
             f"closed-form fixed point leaves kick residual "
             f"{kick_hot + kick_cold:.3e} at p0 = {p0!r}")
-    return p0, g * g * (a_H * j_hot - a_C * j_cold) / ((a_H + a_C) * denom)
+    return p0, g * g * t * (j_hot / a_C - j_cold / a_H) / denom
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,9 @@ class CycleSolution:
     ``feasible`` is the heat-engine flag: True when the hot contact
     pumps population up (dp_hot > 0), so that for omega2 > omega1 the
     cycle extracts work; False means the same parameters run a
-    refrigerator.  dp_hot has the sign of a_H J(-1/a_H, y) -
-    a_C J(-1/a_C, y) whenever 1 + 2P > 0 (:func:`_fixed_point`), so it is
-    exactly 0, and the cycle infeasible, when a_H = a_C.
+    refrigerator.  dp_hot = g^2 t (J_H / a_C - J_C / a_H) / D
+    (:func:`_fixed_point`) has the sign of J_H / a_C - J_C / a_H whenever
+    D > 0, so it is exactly 0, and the cycle infeasible, when a_H = a_C.
     dp_cold = -dp_hot by construction of p0.
     """
     p0: float

@@ -172,7 +172,6 @@ def _reduced(alpha: float, omega: float, T: float,
     check_positive("T", T)
     if not math.isfinite(omega):
         raise DomainError("omega must be finite")
-    check_positive("window * T", spec.window * T)
     y = alpha * T
     check_positive("alpha * T", y)
     q = omega * T

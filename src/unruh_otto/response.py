@@ -114,10 +114,16 @@ def vacuum_response(alpha: float, omega: float, duration: float) -> float:
     """Response integral for acceleration alpha, gap omega, proper duration T.
 
     Dimensionless packaging of j_function: equals J(omega/alpha, alpha*T).
+    Its refusals name these arguments, not x and y.
     """
     check_positive("alpha", alpha)
     check_positive("duration", duration)
-    return j_function(omega / alpha, alpha * duration)
+    if omega == 0.0 or not math.isfinite(omega):
+        raise DomainError("omega must be nonzero and finite")
+    y = alpha * duration
+    if not 0.0 < y < TWO_PI:
+        raise DomainError("alpha * duration out of (0, 2*pi)")
+    return j_function(omega / alpha, y)
 
 
 def kick_and_response(a: float, p: float, v: float,

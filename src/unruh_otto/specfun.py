@@ -245,8 +245,7 @@ def _log_z_series(w: float, s: int, a: float, tol: float):
 
 
 def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
-                 tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_TERM_CAP) -> list:
+                 tol: float = DEFAULT_TOL) -> list:
     """phi(z, s, a) within ``tol`` for s in ``orders`` (rows) and a in
     ``shifts`` (columns), for checked arguments: 0 < z < 1 and log_z = log z,
     or z = 1 and log_z < 0 where the log-z expansion certifies every entry."""
@@ -268,10 +267,10 @@ def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
             chunk *= 2
     n = 0
     while direct:  # past the first chunk, chunk == _CHUNK
-        if n >= max_terms:
+        if n >= DEFAULT_TERM_CAP:
             raise ResourceLimitError(
-                f"lerch_phi needs more than {max_terms} terms at z={z!r}; "
-                "the mantissa is too close to 1 for direct summation")
+                f"lerch_phi needs more than {DEFAULT_TERM_CAP} terms at "
+                f"z={z!r}; the mantissa is too close to 1 for direct summation")
         k = _TERMS[:chunk] + n
         powers, denominators = np.exp(k * log_z), np.add.outer(shifts, k)
         sums = {s: np.add.reduce(powers / denominators ** s, axis=1)
@@ -283,14 +282,13 @@ def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
     return table
 
 
-def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
-              max_terms: int = DEFAULT_TERM_CAP) -> float:
+def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Evaluate phi(z,s,a) = sum_k z^k/(k+a)^s with absolute error <= tol.
 
     Raises DomainError for arguments off the series domain and
     ResourceLimitError if direct summation cannot meet the tail bound
-    within ``max_terms`` terms: z too close to 1 while a > 2, or a tol
-    below what the log-z expansion can certify.  Where the first term
+    within DEFAULT_TERM_CAP terms: z too close to 1 while a > 2, or a
+    tol below what the log-z expansion can certify.  Where the first term
     a^-s alone is beyond the float range the value is inf.  Where a^s is
     (within a factor e), every term is below e / (largest float), and the
     value is a^-s / (1 - z): within tol, to rounding once a (1 - z) >> s,
@@ -314,4 +312,4 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL,
     if log_a_s > _LOG_MAX - 1.0:  # the terms' (n + a)^s would overflow
         return a ** (-s) / (1.0 - z)
 
-    return _lerch_table(z, math.log(z), (s,), (a,), tol, max_terms)[0][0]
+    return _lerch_table(z, math.log(z), (s,), (a,), tol)[0][0]

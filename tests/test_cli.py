@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -20,6 +22,7 @@ from unruh_otto import cli, response
 from unruh_otto.response import j_function
 
 CLI = [sys.executable, "-m", "unruh_otto.cli"]
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 DELTA_P_GOLDEN = (
     "a,p,v,g,delta_p,valid,in_unit_interval,j_value\n"
@@ -235,15 +238,36 @@ def test_solve_grid_diagonal_is_infeasible():
                for r in diagonal)
 
 
-def test_solve_grid_where_pump_underflows_exits_2():
+def test_solve_grid_where_pump_underflows():
     # (a_H + a_C) atanh(v) = 3e-600 rounds to 0.0, and so does the
-    # numerator: a ZeroDivisionError traceback (exit 1) before
+    # numerator of P; the fixed point is finite, and D has no such product
     proc = run("solve-grid", "--a-min", "1e-300", "--a-max", "2e-300",
-               "--count", "2", "--v", "1e-300")
-    assert proc.returncode == 2
-    assert proc.stderr == ("error: critical probability diverges for these "
-                           "parameters\n")
-    assert proc.stdout == ""
+               "--count", "2", "--v", "1e-300", check=True)
+    cell = parse_csv(proc.stdout)[1]   # (a_H, a_C) = (1e-300, 2e-300)
+    assert float(cell["p0"]) == pytest.approx(-0.49786143366223283, rel=1e-15)
+    assert float(cell["dp_hot"]) == pytest.approx(0.03322682335445088,
+                                                  rel=1e-15)
+
+
+def test_solve_grid_where_pump_overflows():
+    # a_H a_C = 2e400 is beyond the float range; D has no such product
+    proc = run("solve-grid", "--a-min", "1e200", "--a-max", "2e200",
+               "--count", "2", "--v", "0.5", check=True)
+    rows = parse_csv(proc.stdout)
+    assert [r["p0"] for r in rows] == ["0.5"] * 4
+    # P / (1 + 2 P) to 50 digits from the same two J values
+    assert float(rows[1]["dp_hot"]) == pytest.approx(-3.4331634020878427e-202,
+                                                     rel=1e-15)
+
+
+def test_compare_classical_where_pump_overflows():
+    # a_H a_C = 1e200 * 1e199 is beyond the float range; D has no such
+    # product
+    proc = run("compare-classical", "--a-hot", "1e200", "--a-cold", "1e199",
+               "--v", "0.5", check=True)
+    (row,) = parse_csv(proc.stdout)
+    assert float(row["w_unruh"]) == pytest.approx(6.1796941237581166e-201,
+                                                  rel=1e-15)
 
 
 def test_compare_classical_table():
@@ -384,18 +408,29 @@ def test_oracle_check_long_window_passes(flags):
 @pytest.mark.parametrize("flags,message", [
     (["--window", "inf"], "window must be positive and finite"),
     (["--abs-tol", "inf"], "abs_tol must be positive and finite"),
-    # each factor is finite, the product window * duration is not
-    (["--window", "1e308"], "window * T must be positive and finite"),
-    (["--window", "1e308", "--representation", "sinh2d"],
-     "window * T must be positive and finite"),
-], ids=["window-inf", "abs-tol-inf", "window-T-overflow",
-        "window-T-overflow-sinh2d"])
+    # the closed form's refusals name the point's flags, not J's x and y
+    (["--omega", "0"], "omega must be nonzero and finite"),
+    (["--alpha", "1"], "alpha * duration out of (0, 2*pi)"),
+], ids=["window-inf", "abs-tol-inf", "omega-zero", "alpha-T-beyond-2pi"])
 def test_oracle_check_non_finite_spec_exits_2(flags, message):
     proc = run("oracle-check", "--alpha", "0.1", "--omega", "1",
                "--duration", "10", *flags)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+def test_oracle_check_window_times_duration_overflow(representation):
+    # window * T = 1e309 is beyond the float range, but no route forms the
+    # product: the window only caps the cut
+    proc = run("oracle-check", "--alpha", "0.1", "--omega", "0.1",
+               "--duration", "10", "--window", "1e308",
+               "--representation", representation, check=True)
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["passed"] is True
+    assert row["abs_diff"] <= 1e-16
+    assert row["j_error_estimate"] <= 2e-15
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
@@ -514,3 +549,23 @@ def test_oracle_check_csv_format():
     rows = parse_csv(proc.stdout)
     assert rows[0]["representation"] == "imagesum1d"
     assert rows[0]["passed"] == "true"
+
+
+def _readme_cli_examples():
+    """Every ``unruh-otto ...`` command of README's CLI block, with its
+    backslash continuations joined and its comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("unruh-otto ")]
+
+
+def test_readme_cli_examples_run():
+    # so that no example goes stale when a flag changes
+    examples = _readme_cli_examples()
+    assert len(examples) >= 10
+    for argv in examples:
+        proc = run(*argv[1:])
+        assert proc.returncode == (1 if "--expect-fail" in argv else 0), \
+            (argv, proc.stderr)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,11 +127,53 @@ def test_fixed_point_domain(args):
         critical_probability(*args)
 
 
+def _fixed_point_50_digits(a_H, a_C, v):
+    """p0 = P / (1 + 2 P) and dp_hot at g = 1, to 50 digits from the two
+    float J values, each with the scale its float evaluation errs on.
+
+    Both scales carry the condition number of the denominator
+    D = (1/a_H + 1/a_C) t + 4 (J_H + J_C), which is 1 unless its terms
+    cancel (next to P = -1/2); dp_hot's scale also carries the cancellation
+    in a_H J_H - a_C J_C.
+    """
+    y = 2.0 * math.atanh(v)
+    j_hot, j_cold = j_function(-1.0 / a_H, y), j_function(-1.0 / a_C, y)
+    with mpmath.workdps(50):
+        a_H, a_C = mpmath.mpf(a_H), mpmath.mpf(a_C)
+        j_hot, j_cold = mpmath.mpf(j_hot), mpmath.mpf(j_cold)
+        t = mpmath.atanh(mpmath.mpf(v))
+        pump = 2 * a_H * a_C * (j_hot + j_cold) / ((a_H + a_C) * t)
+        p0 = pump / (1 + 2 * pump)
+        dp_hot = (a_H * j_hot - a_C * j_cold) / ((a_H + a_C) * (1 + 2 * pump))
+        rate = (1 / a_H + 1 / a_C) * t
+        cond = ((rate + 4 * (abs(j_hot) + abs(j_cold)))
+                / abs(rate + 4 * (j_hot + j_cold)))
+        dp_scale = ((a_H * abs(j_hot) + a_C * abs(j_cold))
+                    / ((a_H + a_C) * abs(1 + 2 * pump)))
+        return (float(p0), float(dp_hot), float(abs(p0) * cond),
+                float(dp_scale * cond))
+
+
 def test_fixed_point_where_the_pump_underflows():
     # (a_H + a_C) atanh(v) = 3e-600 rounds to 0.0, and so does the
-    # numerator: a ZeroDivisionError before
-    with pytest.raises(DomainError, match="critical probability diverges"):
-        critical_probability(1e-300, 2e-300, 1e-300)
+    # numerator of P; D has no such product
+    p0, dp_hot = engine._fixed_point(1e-300, 2e-300, 1e-300)
+    assert p0 == pytest.approx(-0.49786143366223283, rel=1e-15)
+    assert dp_hot == pytest.approx(0.03322682335445088, rel=1e-15)
+
+
+@pytest.mark.parametrize("v", [1e-12, 0.5, 0.99])
+def test_fixed_point_across_the_float_range(v):
+    # log-uniform accelerations, where a_H a_C or (a_H + a_C) t leaves the
+    # float range at about one point in seven; no term of D does
+    rng = random.Random(27)
+    for _ in range(100):
+        a_H, a_C = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        p0, dp_hot = engine._fixed_point(a_H, a_C, v)
+        want_p0, want_dp, p0_scale, dp_scale = _fixed_point_50_digits(
+            a_H, a_C, v)
+        assert abs(p0 - want_p0) <= 1e-14 * p0_scale, (a_H, a_C)
+        assert abs(dp_hot - want_dp) <= 1e-14 * dp_scale, (a_H, a_C)
 
 
 # ---------------------------------------------------------------------------
