@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one positivity check.
 
 Every argument that must be a positive number (gaps, accelerations,
-durations, the coupling, oracle regulators and tolerances) goes through
+durations, the coupling, the oracle window and tolerances) goes through
 ``check_positive``, so ``inf`` and ``nan`` are domain errors everywhere
 and every module words the error the same way.  The check lives here,
 beside ``DomainError``, so that no module has to import another's

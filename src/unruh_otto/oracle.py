@@ -165,8 +165,7 @@ class OracleResult:
         return 2.0 * self.error_estimate
 
 
-def _reduced(alpha: float, omega: float, T: float,
-             spec: QuadratureSpec) -> Tuple[float, float]:
+def _reduced(alpha: float, omega: float, T: float) -> Tuple[float, float]:
     """Check the arguments of either route; return y = alpha*T and q = omega*T."""
     check_positive("alpha", alpha)
     check_positive("T", T)
@@ -283,7 +282,7 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     The quadrature stops at the cut of ``_integrate``, and the near images
     are counted from it, so no window is too long.
     """
-    y, q = _reduced(alpha, omega, T, spec)
+    y, q = _reduced(alpha, omega, T)
     return _integrate(lambda cut: _image_remainder(y, cut), y, q,
                       spec.window, "imagesum1d")
 
@@ -352,7 +351,7 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
     so one adaptive quadrature remains, which stops at the cut of
     ``_integrate``.
     """
-    y, q = _reduced(alpha, omega, T, spec)
+    y, q = _reduced(alpha, omega, T)
     return _integrate(lambda cut: (_sinh_remainder(y), 0.0), y, q,
                       spec.window, "sinh2d")
 

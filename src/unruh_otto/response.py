@@ -123,7 +123,14 @@ def vacuum_response(alpha: float, omega: float, duration: float) -> float:
     y = alpha * duration
     if not 0.0 < y < TWO_PI:
         raise DomainError("alpha * duration out of (0, 2*pi)")
-    return j_function(omega / alpha, y)
+    x = omega / alpha
+    if not math.isfinite(x):
+        raise DomainError("omega / alpha must be finite")
+    if x == 0.0:
+        # the ratio underflowed; J is continuous at x = 0, so J at the least
+        # subnormal of omega's sign is J(omega / alpha, y) to rounding
+        x = math.copysign(5e-324, omega)
+    return j_function(x, y)
 
 
 def kick_and_response(a: float, p: float, v: float,

@@ -6,7 +6,7 @@ The only special function needed by the vacuum-response closed form is
 
 on the real series domain 0 <= z < 1, a > 0, with s a positive integer
 (s = 1 or 2 in practice).  Two branches share one contract: the returned
-value carries a guaranteed absolute error below ``tol``.
+value carries a guaranteed absolute error below the fixed ``TOL`` = 1e-12.
 
 Direct summation
     The series is summed in numpy chunks until the rigorous geometric
@@ -14,7 +14,7 @@ Direct summation
 
         tail(N) <= z^(N+1) / ((N + 1 + a)^s * (1 - z))
 
-    drops below ``tol``.  It needs about log(1/tol) / |log z| terms, which
+    drops below ``TOL``.  It needs about log(1/TOL) / |log z| terms, which
     grows without limit as z -> 1, so a hard term cap turns an input too
     close to 1 into a loud ``ResourceLimitError`` instead of a silent
     truncation.  One call sums every order s at every shift a it is given
@@ -37,19 +37,20 @@ Log-z expansion
     with zeta(-k, a) = -B_{k+1}(a) / (k+1) for 0 < a <= 1 and
     zeta(-k, a) = zeta(-k, a-1) - (a-1)^k for 1 < a <= 2.  Each term
     shrinks by about r = |w| / 2pi <= 1/100, so a handful of terms meet
-    ``tol`` at any reduced acceleration.  Since |B_n(x)| <= 2 zeta(n) n! /
+    ``TOL`` at any reduced acceleration.  Since |B_n(x)| <= 2 zeta(n) n! /
     (2pi)^n on [0, 1] for n >= 2, the terms from k = K on are bounded by
 
         z^-a [ (pi^2/3) |w|^(s-1) r^(K+1) / ((K+1)^s (1-r))
                + |w|^(s+K) / ((s+K)! (1-|w|)) ],
 
-    the second part only when the shift a -> a-1 was taken.  At the
-    switch about five terms certify tol = 1e-12.  The switch is not lower
+    the second part only when the shift a -> a-1 was taken.  At the switch
+    K = _NEGATIVE_TERMS = 6 certifies TOL for every s >= 1 and 0 < a <= 2
+    (five terms leave 1e-10 at s = 1, a > 1).  The switch is not lower
     because reduced accelerations up to 100, where the CLI's examples and
     tests live, keep the direct branch's exact output.
 
-    psi(a), zeta(n, a) and zeta(-k, a) depend on the shift alone and are
-    kept for the last few shifts: a sweep over x at fixed y reuses them.
+    psi(a), zeta(2, a) and zeta(-k, a) depend on the shift alone and are
+    kept for the last two shifts: a sweep over x at fixed y reuses them.
 
 psi and zeta without scipy
     The expansion needs psi(a) and zeta(n, a), n = 2 .. s, for 0 < a <= 2.
@@ -72,8 +73,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, check_positive
 
-DEFAULT_TOL = 1e-12
-DEFAULT_TERM_CAP = 10_000_000
+TOL = 1e-12
+TERM_CAP = 10_000_000
 
 _CHUNK = 4096
 _TERMS = np.arange(float(_CHUNK))  # the indices k of one chunk, 32 KB
@@ -82,15 +83,14 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 # The log-z expansion runs for |log z| up to this and 0 < a <= 2.
 _LOG_Z_SWITCH = 2.0 * math.pi / 100.0
-# Highest Bernoulli order the expansion uses; at r <= 1/100 it certifies
-# any tol above ~1e-60, and smaller ones fall back to direct summation.
-_MAX_ORDER = 30
+# zeta(0, a) .. zeta(1 - _NEGATIVE_TERMS, a) certify TOL (module docstring)
+_NEGATIVE_TERMS = 6
+_MAX_ORDER = 30  # of the exact Bernoulli numbers
 # psi and zeta recur from 0 < a <= 2 up to about a + _SHIFT (at least 7.5),
 # where _SERIES_TERMS terms of their asymptotic series leave a remainder
 # below 1e-18 of the value.
 _SHIFT = 8
 _SERIES_TERMS = 12
-_ZETA_NEGATIVE = {}  # a -> (zeta(0, a), zeta(-1, a), ...) at the last few a
 
 
 @functools.cache
@@ -108,13 +108,13 @@ def _bernoulli_numbers() -> tuple:
 
 @functools.cache
 def _bernoulli_polynomials() -> tuple:
-    """Coefficients of B_0(x) .. B_{_MAX_ORDER}(x), highest power first:
+    """Coefficients of B_0(x) .. B_{_NEGATIVE_TERMS}(x), highest power first:
     B_n(x) = sum_i C(n, i) B_{n-i} x^i, each rounded once from the exact
     rational."""
     numbers = _bernoulli_numbers()
     return tuple(tuple(float(math.comb(n, i) * numbers[n - i])
                        for i in range(n, -1, -1))
-                 for n in range(_MAX_ORDER + 1))
+                 for n in range(_NEGATIVE_TERMS + 1))
 
 
 @functools.cache
@@ -150,8 +150,6 @@ def _digamma_1p(t: float) -> float:
     return t * total + difference - np.euler_gamma
 
 
-# j_function asks for psi at its two shifts, in every call at the same y
-@functools.lru_cache(maxsize=2)
 def _digamma(a: float) -> float:
     """psi(a) for 0 < a <= 2, within about one ulp of max(1, |psi(a)|)."""
     if a < 0.5:
@@ -171,7 +169,6 @@ def _zeta_series(n: int) -> tuple:
     return tuple(coefficients)
 
 
-@functools.lru_cache(maxsize=2)  # as _digamma, for zeta(2, a)
 def _hurwitz_zeta(n: int, a: float) -> float:
     """zeta(n, a) = sum_k (a + k)^-n for integer n >= 2 and 0 < a <= 2.
 
@@ -194,63 +191,67 @@ def _hurwitz_zeta(n: int, a: float) -> float:
     return total
 
 
-def _log_z_series(w: float, s: int, a: float, tol: float):
-    """phi(e^w, s, a) by the log-z expansion, for -_LOG_Z_SWITCH <= w < 0
-    and 0 < a <= 2; None if _MAX_ORDER terms cannot certify ``tol``."""
+# j_function asks for them at its two shifts, in every call at the same y
+@functools.lru_cache(maxsize=2)
+def _shift_terms(a: float) -> tuple:
+    """psi(a), zeta(2, a) and (zeta(0, a), .., zeta(1 - _NEGATIVE_TERMS, a))
+    for 0 < a <= 2: what the log-z expansion needs of the shift alone.
+
+    zeta(-k, a) = -B_{k+1}(a)/(k+1) on (0, 1] (x reflected onto [0, 1/2]
+    by B_n(1 - x) = (-1)^n B_n(x), where the cancellation is small) and
+    zeta(-k, a-1) - (a-1)^k on (1, 2].
+    """
+    b = a - 1.0 if a > 1.0 else a
+    x, flip = (1.0 - b, -1.0) if b > 0.5 else (b, 1.0)
+    negative = []
+    for k in range(_NEGATIVE_TERMS):
+        bernoulli = 0.0
+        for c in _bernoulli_polynomials()[k + 1]:
+            bernoulli = bernoulli * x + c
+        term = -flip ** (k + 1) * bernoulli / (k + 1)
+        negative.append(term - b ** k if a > 1.0 else term)
+    return _digamma(a), _hurwitz_zeta(2, a), tuple(negative)
+
+
+def _log_z_series(w: float, s: int, a: float) -> float:
+    """phi(e^w, s, a) within TOL by the log-z expansion, for
+    -_LOG_Z_SWITCH <= w < 0 and 0 < a <= 2."""
+    psi, zeta_2, zetas = _shift_terms(a)
     r = -w / (2.0 * math.pi)
     scale = math.exp(-a * w)  # z^-a
     total = harmonic = 0.0
     for n in range(s - 1):
-        total += _hurwitz_zeta(s - n, a) * w ** n / math.factorial(n)
+        zeta = zeta_2 if n == s - 2 else _hurwitz_zeta(s - n, a)
+        total += zeta * w ** n / math.factorial(n)
         harmonic += 1.0 / (n + 1)
-    total += ((harmonic - np.euler_gamma - _digamma(a) - math.log(-w))
+    total += ((harmonic - np.euler_gamma - psi - math.log(-w))
               * w ** (s - 1) / math.factorial(s - 1))
 
-    # the bound fixes the number of terms before any zeta(-k, a) is needed
+    # stop where the bound first meets TOL; at _NEGATIVE_TERMS it always has
     power = w ** s / math.factorial(s)  # w^(s+k) / (s+k)!
     powers = []
     bound = scale * math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r / (1.0 - r)
-    for n in range(1, _MAX_ORDER + 1):
+    for n in range(1, _NEGATIVE_TERMS + 1):
         powers.append(power)
         power *= w / (s + n)
         bound *= r  # z^-a times the first part of the bound, times (n+1)^s
         tail = bound / (n + 1) ** s
         if a > 1.0:  # the shift a -> a-1 was taken
             tail += scale * abs(power) / (1.0 + w)
-        if tail <= tol:
+        if tail <= TOL:
             break
-    else:
-        return None
-    # zeta(-k, a) = -B_{k+1}(a)/(k+1) on (0, 1] (x reflected onto [0, 1/2]
-    # by B_n(1 - x) = (-1)^n B_n(x), where the cancellation is small) and
-    # zeta(-k, a-1) - (a-1)^k on (1, 2].  A shift's tuple is replaced whole,
-    # never extended in place: threads that race on it only compute it twice.
-    zetas = _ZETA_NEGATIVE.get(a, ())
-    if len(zetas) < n:
-        b = a - 1.0 if a > 1.0 else a
-        x, flip = (1.0 - b, -1.0) if b > 0.5 else (b, 1.0)
-        more = []
-        for k in range(len(zetas), n):
-            bernoulli = 0.0
-            for c in _bernoulli_polynomials()[k + 1]:
-                bernoulli = bernoulli * x + c
-            term = -flip ** (k + 1) * bernoulli / (k + 1)
-            more.append(term - b ** k if a > 1.0 else term)
-        if not zetas and len(_ZETA_NEGATIVE) >= 4:
-            _ZETA_NEGATIVE.clear()
-        zetas = _ZETA_NEGATIVE[a] = zetas + tuple(more)
     for zeta, power in zip(zetas, powers):
         total += zeta * power
     return scale * total
 
 
-def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
-                 tol: float = DEFAULT_TOL) -> list:
-    """phi(z, s, a) within ``tol`` for s in ``orders`` (rows) and a in
+def _lerch_table(z: float, log_z: float, orders: tuple,
+                 shifts: tuple) -> list:
+    """phi(z, s, a) within TOL for s in ``orders`` (rows) and a in
     ``shifts`` (columns), for checked arguments: 0 < z < 1 and log_z = log z,
     or z = 1 and log_z < 0 where the log-z expansion certifies every entry."""
     near_one = -log_z <= _LOG_Z_SWITCH
-    table = [[_log_z_series(log_z, s, a, tol) if near_one and a <= 2.0
+    table = [[_log_z_series(log_z, s, a) if near_one and a <= 2.0
               else None for a in shifts] for s in orders]
     direct = [(row, j, s, a) for row, s in zip(table, orders)
               for j, a in enumerate(shifts) if row[j] is None]
@@ -262,14 +263,14 @@ def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
     chunk = 128
     for row, j, s, a in direct:
         row[j] = 0.0
-        floor = min(tol, 2.0 ** -60 * (a + 1.0) ** -s)
+        floor = min(TOL, 2.0 ** -60 * (a + 1.0) ** -s)
         while chunk < _CHUNK and tail(chunk, s, a) > floor:
             chunk *= 2
     n = 0
     while direct:  # past the first chunk, chunk == _CHUNK
-        if n >= DEFAULT_TERM_CAP:
+        if n >= TERM_CAP:
             raise ResourceLimitError(
-                f"lerch_phi needs more than {DEFAULT_TERM_CAP} terms at "
+                f"lerch_phi needs more than {TERM_CAP} terms at "
                 f"z={z!r}; the mantissa is too close to 1 for direct summation")
         k = _TERMS[:chunk] + n
         powers, denominators = np.exp(k * log_z), np.add.outer(shifts, k)
@@ -278,20 +279,19 @@ def _lerch_table(z: float, log_z: float, orders: tuple, shifts: tuple,
         n += chunk
         for row, j, s, _ in direct:
             row[j] += float(sums[s][j])
-        direct = [d for d in direct if tail(n, d[2], d[3]) > tol]
+        direct = [d for d in direct if tail(n, d[2], d[3]) > TOL]
     return table
 
 
-def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL) -> float:
-    """Evaluate phi(z,s,a) = sum_k z^k/(k+a)^s with absolute error <= tol.
+def lerch_phi(z: float, s: int, a: float) -> float:
+    """Evaluate phi(z,s,a) = sum_k z^k/(k+a)^s with absolute error <= TOL.
 
     Raises DomainError for arguments off the series domain and
     ResourceLimitError if direct summation cannot meet the tail bound
-    within DEFAULT_TERM_CAP terms: z too close to 1 while a > 2, or a
-    tol below what the log-z expansion can certify.  Where the first term
-    a^-s alone is beyond the float range the value is inf.  Where a^s is
-    (within a factor e), every term is below e / (largest float), and the
-    value is a^-s / (1 - z): within tol, to rounding once a (1 - z) >> s,
+    within TERM_CAP terms: z too close to 1 while a > 2.  Where the first
+    term a^-s alone is beyond the float range the value is inf.  Where a^s
+    is (within a factor e), every term is below e / (largest float), and the
+    value is a^-s / (1 - z): within TOL, to rounding once a (1 - z) >> s,
     and 0.0 where a^-s underflows.
     """
     z = float(z)
@@ -301,7 +301,6 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL) -> float:
     check_positive("a", a)
     if s != int(s) or s < 1:
         raise DomainError("s must be a positive integer")
-    check_positive("tol", tol)
     s = int(s)
 
     log_a_s = s * math.log(a)
@@ -312,4 +311,4 @@ def lerch_phi(z: float, s: int, a: float, tol: float = DEFAULT_TOL) -> float:
     if log_a_s > _LOG_MAX - 1.0:  # the terms' (n + a)^s would overflow
         return a ** (-s) / (1.0 - z)
 
-    return _lerch_table(z, math.log(z), (s,), (a,), tol)[0][0]
+    return _lerch_table(z, math.log(z), (s,), (a,))[0][0]

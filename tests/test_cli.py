@@ -411,7 +411,10 @@ def test_oracle_check_long_window_passes(flags):
     # the closed form's refusals name the point's flags, not J's x and y
     (["--omega", "0"], "omega must be nonzero and finite"),
     (["--alpha", "1"], "alpha * duration out of (0, 2*pi)"),
-], ids=["window-inf", "abs-tol-inf", "omega-zero", "alpha-T-beyond-2pi"])
+    (["--alpha", "1e-300", "--omega", "1e300", "--duration", "1"],
+     "omega / alpha must be finite"),
+], ids=["window-inf", "abs-tol-inf", "omega-zero", "alpha-T-beyond-2pi",
+        "omega-over-alpha-overflows"])
 def test_oracle_check_non_finite_spec_exits_2(flags, message):
     proc = run("oracle-check", "--alpha", "0.1", "--omega", "1",
                "--duration", "10", *flags)
@@ -434,12 +437,17 @@ def test_oracle_check_window_times_duration_overflow(representation):
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
-@pytest.mark.parametrize("alpha, duration", [
-    ("1e150", "1e-150"), ("1e-100", "1e100"), ("1e-200", "1e200")])
-def test_oracle_check_is_scale_free(alpha, duration, representation):
+@pytest.mark.parametrize("alpha, omega, duration", [
+    pytest.param("1e150", "1e150", "1e-150", id="1e150-1e-150"),
+    pytest.param("1e-100", "1e-100", "1e100", id="1e-100-1e100"),
+    pytest.param("1e-200", "1e-200", "1e200", id="1e-200-1e200"),
+    pytest.param("1e10", "1e-320", "1e-10", id="omega-over-alpha-underflows")])
+def test_oracle_check_is_scale_free(alpha, omega, duration, representation):
     # (alpha T, omega T) = (1, 1) at every scale; T^3 gave nan, a miss
-    # beyond the estimate and an OverflowError at these three scales
-    proc = run("oracle-check", "--alpha", alpha, "--omega", alpha,
+    # beyond the estimate and an OverflowError at these three scales.
+    # omega / alpha = 1e-330 rounds to 0, which the closed form refused
+    # as "x must be nonzero and finite" (J is continuous at x = 0)
+    proc = run("oracle-check", "--alpha", alpha, "--omega", omega,
                "--duration", duration, "--representation", representation,
                check=True)
     assert json.loads(proc.stdout)["rows"][0]["passed"] is True

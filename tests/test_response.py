@@ -272,9 +272,7 @@ def test_j_bytes_are_frozen(x, y, expected):
 
 
 def _clear_shift_caches():
-    specfun._digamma.cache_clear()
-    specfun._hurwitz_zeta.cache_clear()
-    specfun._ZETA_NEGATIVE.clear()
+    specfun._shift_terms.cache_clear()
 
 
 # both Lerch branches at every y: the log-z one from reduced acceleration 100

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unruh_otto import specfun
 from unruh_otto.errors import DomainError, ResourceLimitError
 from unruh_otto.specfun import (_bernoulli_numbers, _digamma, _hurwitz_zeta,
                                 _lerch_table, lerch_phi)
@@ -46,12 +47,6 @@ def test_matches_extended_precision(z, s, a):
     assert lerch_phi(z, s, a) == pytest.approx(expected, rel=1e-11)
 
 
-def test_tolerance_controls_tail():
-    loose = lerch_phi(0.99, 2, 1.0, tol=1e-8)
-    tight = lerch_phi(0.99, 2, 1.0, tol=1e-14)
-    assert abs(loose - tight) <= 1e-8
-
-
 @pytest.mark.parametrize("z", [-0.1, 1.0, 1.5, math.inf, math.nan])
 def test_z_domain(z):
     with pytest.raises(DomainError):
@@ -70,11 +65,6 @@ def test_s_domain(s):
         lerch_phi(0.5, s, 1.0)
 
 
-def test_tol_domain():
-    with pytest.raises(DomainError):
-        lerch_phi(0.5, 2, 1.0, tol=0.0)
-
-
 def test_term_cap_raises():
     # a > 2 keeps z near 1 on the direct branch, which the cap guards
     with pytest.raises(ResourceLimitError):
@@ -88,28 +78,46 @@ def test_near_one_takes_log_z_expansion():
 
 
 @given(log_a=st.floats(1.0, 9.0), a=st.floats(1e-6, 2.0),
-       s=st.sampled_from([1, 2]), tol=st.sampled_from([1e-8, 1e-12, 1e-14]))
+       s=st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
-def test_matches_mpmath_across_log_z_switch(log_a, a, s, tol):
+def test_matches_mpmath_across_log_z_switch(log_a, a, s):
     # z = e^{-2 pi / A} for reduced accelerations A in [10, 1e9]: the
-    # direct branch below A ~ 100, the log-z expansion above.  tol bounds
+    # direct branch below A ~ 100, the log-z expansion above.  1e-12 bounds
     # the truncation; rounding adds a few ulps of the value, which only
     # shows where phi ~ a^-s is large.
     z = math.exp(-2.0 * math.pi / 10.0 ** log_a)
-    value = lerch_phi(z, s, a, tol=tol)
+    value = lerch_phi(z, s, a)
     assert type(value) is float
     expected = mpmath.lerchphi(mpmath.mpf(z), s, mpmath.mpf(a))
-    assert abs(value - expected) <= tol + 8 * EPS * abs(expected)
+    assert abs(value - expected) <= 1e-12 + 8 * EPS * abs(expected)
 
 
-def _full_chunk_sum(z, s, a, tol=1e-12):
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_log_z_terms_certify_tol(s):
+    # the module docstring's tail bound after K = _NEGATIVE_TERMS terms, at
+    # the largest |w| the expansion takes: z^-a [(pi^2/3) |w|^(s-1) r^(K+1)
+    # / ((K+1)^s (1-r)) + |w|^(s+K) / ((s+K)! (1-|w|))], the second part
+    # for a > 1 only.  Five terms leave about 1e-10 at s = 1, a > 1
+    w = -specfun._LOG_Z_SWITCH
+    r = -w / (2.0 * math.pi)
+    k = specfun._NEGATIVE_TERMS
+    grid = [i / 100 for i in range(1, 201)]  # up to a = 2
+    for a in [1e-6, math.nextafter(1.0, 2.0)] + grid:
+        bound = (math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r ** (k + 1)
+                 / ((k + 1) ** s * (1.0 - r)))
+        if a > 1.0:
+            bound += (-w) ** (s + k) / (math.factorial(s + k) * (1.0 + w))
+        assert math.exp(-a * w) * bound <= specfun.TOL, a
+
+
+def _full_chunk_sum(z, s, a):
     """The direct branch as it summed before: whole 4096-term chunks."""
     log_z, total, n = math.log(z), 0.0, 0
     while True:
         k = np.arange(n, n + 4096, dtype=float)
         total += float(np.sum(np.exp(k * log_z) / (k + a) ** s))
         n += 4096
-        if math.exp(n * log_z) / ((n + a) ** s * (1.0 - z)) <= tol:
+        if math.exp(n * log_z) / ((n + a) ** s * (1.0 - z)) <= 1e-12:
             return total
 
 
