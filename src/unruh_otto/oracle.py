@@ -75,6 +75,17 @@ and their error estimate is the quadrature error, plus
 series over the far images drops.  The image poles are no features of
 the (smooth) integrand, so both routes share one set of break points.
 
+The rule
+--------
+``quad`` is QUADPACK's adaptive rule (Piessens et al., QUADPACK, Springer
+1983): the 21-point Gauss-Kronrod pair qk21 on each panel between the
+break points, with QUADPACK's error heuristic, and bisection of the panel
+with the largest estimate until the estimates meet the tolerance.  Each
+panel's 21 nodes are one call of the integrand, which takes arrays, and
+the far images' Hurwitz zeta power sums come from Euler-Maclaurin
+(``_power_sums``), so the oracles need no scipy and share no code with
+the closed form.
+
 Normalization
 -------------
 The windowed integral and the closed-form response use different but
@@ -91,7 +102,6 @@ comparison.  ``value`` itself is always the raw windowed integral.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -103,6 +113,7 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI_SQUARED = 4.0 * math.pi ** 2
 _QUAD_LIMIT = 300
 _EPSABS = 1e-15    # quad's absolute tolerance, and the window-tail bound at the cut
+_EPSREL = 1e-13
 _FAR_TERMS = 12    # of the power series over the far images
 
 
@@ -179,17 +190,80 @@ def _reduced(alpha: float, omega: float, T: float) -> Tuple[float, float]:
     return y, q
 
 
-def quad(func, a: float, b: float, **kwargs):
-    """scipy.integrate.quad with its IntegrationWarning silenced.
+# QUADPACK's qk21 (Piessens et al., QUADPACK, Springer 1983): the 21 Kronrod
+# nodes on [-1, 1], their weights, and the weights of the 10-point Gauss rule
+# on every second node (0 elsewhere)
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208980715110, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WK0 = 0.149445554002916905664936468389821    # the Kronrod weight at node 0
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_NODES = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+_KRONROD = np.array(_WGK + (_WK0,) + tuple(reversed(_WGK)))
+_GAUSS_HALF = [w for g in _WG for w in (0.0, g)]
+_RULES = np.array([_KRONROD, _GAUSS_HALF + [0.0] + _GAUSS_HALF[::-1]]).T
+_EPMACH = 2.0 ** -52
 
-    scipy is imported on the first call, so that the closed form and the
-    CLI start without it.
+
+def _qk21(func, lo, hi):
+    """QUADPACK's qk21 on the panels [lo_i, hi_i], lo_i < hi_i, all in one
+    call of func: the Kronrod values K, and as their error estimates
+    resasc min(1, (200 |K - G| / resasc)^1.5), at least 50 eps resabs."""
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _NODES
+    f = np.reshape(func(nodes.ravel()), nodes.shape)
+    rules = f @ _RULES
+    resabs = np.abs(f) @ _KRONROD
+    resasc = np.abs(f - 0.5 * rules[:, :1]) @ _KRONROD
+    vals, errs = [], []
+    for h, (k, g), ra, rs in zip(half.tolist(), rules.tolist(),
+                                 resabs.tolist(), resasc.tolist()):
+        err = abs(k - g)
+        if rs:
+            err = rs * min(1.0, 200.0 * err / rs) ** 1.5
+        vals.append(k * h)
+        errs.append(h * max(err, 50.0 * _EPMACH * ra))
+    return vals, errs
+
+
+def quad(func, a: float, b: float, *, points, limit: int, epsabs: float,
+         epsrel: float):
+    """Adaptive 21-point Gauss-Kronrod quadrature of func over [a, b].
+
+    QUADPACK's qk21 rule on the panels between a < b and the break points
+    ``points``, all inside (a, b); then the panel with the largest error
+    estimate is bisected until the estimates sum to at most
+    max(epsabs, epsrel |value|) or there are ``limit`` panels.  ``func``
+    takes an array of nodes and returns the integrand at each.  Returns
+    (value, error estimate).
     """
-    from scipy.integrate import IntegrationWarning
-    from scipy.integrate import quad as scipy_quad
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(func, a, b, **kwargs)
+    edges = [a, *sorted(points), b]
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _qk21(func, np.array(lo), np.array(hi))
+    while len(vals) < limit:
+        err = sum(errs)
+        if not (max(epsabs, epsrel * abs(sum(vals))) < err < math.inf):
+            break
+        i = errs.index(max(errs))
+        mid = 0.5 * (lo[i] + hi[i])
+        # the left half takes panel i's place, the right half is appended
+        (vals[i], val), (errs[i], err) = _qk21(
+            func, np.array([lo[i], mid]), np.array([mid, hi[i]]))
+        lo.append(mid)
+        hi.append(hi[i])
+        hi[i] = mid
+        vals.append(val)
+        errs.append(err)
+    return sum(vals), sum(errs)
 
 
 def _window_weight(s: float) -> float:
@@ -241,33 +315,41 @@ def _integrate(route, y: float, q: float, window: float,
     its value at s = 0 to 1 / (4 pi^2 s^2) around s = 2 / y; break points
     at 2/y, 8/y, 32/y, ... below S keep the quadrature from stepping over
     that where it is narrow against the Lorentzian width 1 (at most 5,
-    since S is below 2^9 / y).  Error: the quadrature error
-    + ``_window_tail(y, S)`` + the bound from ``route``.  A value or
-    estimate beyond the float range is NonConvergenceError.
+    since S is below 2^9 / y).  Where [0, S] holds more than 4 periods of
+    cos(q s), n - 1 more split it evenly, n = ceil(S |q| / 8 pi) <= 100:
+    on a panel across tens of periods the rule's estimate fell short of its
+    error.  Error: the quadrature error + ``_window_tail(y, S)`` + the
+    bound from ``route``.  A value or estimate beyond the float range is
+    NonConvergenceError.
     """
     cut = _cut(y, window)
-    remainder, remainder_error = route(cut)
     points = []
     s = 2.0 / y
     while s < cut:
         points.append(s)
         s *= 4.0
+    n = math.ceil(min(100.0, cut * abs(q) / (8.0 * math.pi)))
+    points += [cut * k / n for k in range(1, n)]
+    # beyond the float range R or the integrand is inf or nan, and the
+    # check below raises
+    with np.errstate(all="ignore"):
+        remainder, remainder_error = route(cut)
 
-    def integrand(s):
-        t = math.sin(0.5 * q * s) / s
-        return _window_weight(s) * (
-            math.cos(q * s) * remainder(s) + (2.0 * t * t + 1.0) / FOUR_PI_SQUARED)
+        def integrand(s):
+            t = np.sin(0.5 * q * s) / s
+            return _window_weight(s) * (
+                np.cos(q * s) * remainder(s) + (2.0 * t * t + 1.0) / FOUR_PI_SQUARED)
 
-    val, err = quad(integrand, 0.0, cut, points=points or None,
-                    limit=_QUAD_LIMIT, epsabs=_EPSABS, epsrel=1e-13)
+        val, err = quad(integrand, 0.0, cut, points=points, limit=_QUAD_LIMIT,
+                        epsabs=_EPSABS, epsrel=_EPSREL)
     # 2 w_1(0) / S and pi q w_1(0), over 4 pi^2, with w_1(0) = pi/4
     value = 2.0 * val + 1.0 / (8.0 * math.pi * cut) + q / 16.0
-    error = 2.0 * abs(err) + _window_tail(y, cut) + remainder_error
+    error = 2.0 * err + _window_tail(y, cut) + remainder_error
     if not (math.isfinite(value) and math.isfinite(error)):
         raise NonConvergenceError(
             f"oracle value {value!r} with error estimate {error!r} leaves "
             f"the float range at window = {window!r}")
-    return OracleResult(value=value, error_estimate=float(error),
+    return OracleResult(value=value, error_estimate=error,
                         representation=representation)
 
 
@@ -297,43 +379,69 @@ def _image_remainder(y: float, window: float):
     k_lo = ceil(6 window y / 2 pi) are summed one by one.  With b = k_lo + 1
     and x = (t / b)^2 < 1/36 on the window, the pairs k >= b sum to
 
-        2 (y / 2 pi b)^2 sum_{m >= 0} (-1)^(m+1) (2m + 1) x^m Z_(m+1),
+        2 (y / 2 pi b)^2 sum_{m >= 0} (-1)^(m+1) (2m + 1) x^m Z_(2m+2),
 
-    where Z_j = b^(2j) zeta(2j, b) = sum_{k >= b} (b / k)^(2j) (Hurwitz
-    zeta, DLMF 25.11.1) falls with j.  The terms alternate and shrink at
-    least 12-fold, so the first dropped term bounds the series' error.  Of
-    12 terms kept, it is at most 25 / 36^12 = 5e-18 of the leading one;
-    taken at s = window and integrated against the window weight, it is
-    the returned bound.
-    Every array entry is O(k_lo^2); only the scalar (y / 2 pi)^2 can leave
-    the float range, and then R is infinite and ``_integrate`` raises.
+    where Z_n = sum_{k >= b} (b / k)^n (``_power_sums``) falls with n.  The
+    terms alternate and shrink at least 12-fold, so the first dropped term
+    bounds the series' error.  Of 12 terms kept, it is at most
+    25 / 36^12 = 5e-18 of the leading one; taken at s = window and
+    integrated against the window weight, it is the returned bound.
+    R takes an array of s, one row of the (s, k) table per entry.  Every
+    table entry is O(k_lo^2); only the scalar (y / 2 pi)^2 can leave the
+    float range, and then R is infinite and ``_integrate`` raises.
     """
-    from scipy.special import zeta
     inv_c = y / TWO_PI
     k_lo = math.ceil(6.0 * window * inv_c)
     k2 = np.arange(1, k_lo + 1, dtype=float) ** 2
     b = k_lo + 1.0
     x_max = (window * inv_c / b) ** 2
-    orders = 2.0 * np.arange(1, _FAR_TERMS + 2)
-    z = zeta(orders, b) * b ** orders
-    coefs = [(-1) ** (m + 1) * (2 * m + 1) * float(z[m]) / (b * b)
-             for m in reversed(range(_FAR_TERMS))]
+    z = _power_sums(b)
+    m = np.arange(_FAR_TERMS)
+    coefs = (-1.0) ** (m + 1) * (2 * m + 1) * z[:_FAR_TERMS] / (b * b)
     scale = inv_c * inv_c / FOUR_PI_SQUARED
 
     def remainder(s):
-        t = s * inv_c
-        t2 = t * t
-        x = t2 / (b * b)
-        far = 0.0
-        for coef in coefs:
-            far = far * x + coef
+        t = np.asarray(s) * inv_c
+        t2 = (t * t)[..., None]
+        far = (t2 / (b * b)) ** m @ coefs
         d = t2 + k2
-        return -2.0 * scale * (float(((t2 - k2) / (d * d)).sum()) + far)
+        return -2.0 * scale * (((t2 - k2) / (d * d)).sum(axis=-1) + far)
 
     # the dropped term of R at s = W, times 2 Integral_0^W w_1 = (pi / 2) atan(W)
     dropped = (2.0 * scale * (2 * _FAR_TERMS + 1) * x_max ** _FAR_TERMS
                * float(z[_FAR_TERMS]) / (b * b))
     return remainder, 0.5 * math.pi * math.atan(window) * dropped
+
+
+# Euler-Maclaurin for Z_n = sum_{k >= b} (b / k)^n, n = 2, 4, ..., 26: the
+# first _EM_DIRECT terms one by one, then at x = b + _EM_DIRECT
+#   sum_{k >= x} f(k) = Integral_x^inf f + f(x) / 2
+#                       - sum_{j=1}^{12} B_2j / (2j)! f^(2j-1)(x) + remainder,
+# with f(k) = (b/k)^n: (b/x)^n (x / (n-1) + 1/2 + sum_j C_nj / x^(2j-1)),
+# C_nj = B_2j / (2j)! * n (n+1) ... (n+2j-2).  At x >= 33 the remainder is
+# below 1e-19 of (b/x)^n x for every n <= 26.
+_EM_DIRECT = 32
+_ORDERS = np.arange(2.0, 2 * _FAR_TERMS + 3, 2)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+              (854513, 138), (-236364091, 2730))    # B_2, ..., B_24
+_EM_COEFS = np.array([[num * math.prod(range(n, n + 2 * j - 1))
+                       / (den * math.factorial(2 * j))
+                       for j, (num, den) in enumerate(_BERNOULLI, 1)]
+                      for n in range(2, 2 * _FAR_TERMS + 3, 2)])    # n = _ORDERS
+
+
+def _power_sums(b: float):
+    """Z_n = sum_{k >= b} (b / k)^n = b^n zeta(n, b) for n = 2, 4, ..., 26
+    and b >= 1, by Euler-Maclaurin (the table above).  (b / k)^n is taken
+    as exp(-n log1p((k - b) / b)), whose rounding error falls with
+    (k - b) / b, where a rounded b / k to the power n would gain n ulps."""
+    n = _ORDERS[:, None]
+    direct = np.exp(-n * np.log1p(np.arange(_EM_DIRECT) / b)).sum(axis=1)
+    x = b + _EM_DIRECT
+    odd_powers = x ** -np.arange(1.0, 2 * len(_BERNOULLI), 2.0)
+    tail = x / (_ORDERS - 1.0) + 0.5 + _EM_COEFS @ odd_powers
+    return direct + np.exp(-_ORDERS * math.log1p(_EM_DIRECT / b)) * tail
 
 
 def integrate_sinh_2d(alpha: float, omega: float, T: float,
@@ -357,7 +465,8 @@ def integrate_sinh_2d(alpha: float, omega: float, T: float,
 
 
 def _sinh_remainder(y: float):
-    """R(s) = [1 - (h / sinh h)^2] / (4 pi^2 s^2) of ``integrate_sinh_2d``.
+    """R(s) = [1 - (h / sinh h)^2] / (4 pi^2 s^2) of ``integrate_sinh_2d``,
+    for an array of s.
 
     h = y s / 2.  Below h = 0.1 the bracket cancels and is taken from its
     series; above it h / sinh h = 2 h e^{-h} / (1 - e^{-2h}), which does
@@ -366,12 +475,15 @@ def _sinh_remainder(y: float):
     half_y = 0.5 * y
 
     def remainder(s):
-        h = half_y * s
-        if h < 0.1:  # (h / s)^2 times the series of the bracket over h^2
+        h = half_y * np.asarray(s)
+        ratio = 2.0 * h * np.exp(-h) / -np.expm1(-2.0 * h)
+        r = (1.0 - ratio * ratio) / FOUR_PI_SQUARED / s / s
+        small = h < 0.1
+        if small.any():  # (h / s)^2 times the series of the bracket over h^2
             h2 = h * h
-            return half_y * half_y * (1.0 / 3.0 - h2 * (1.0 / 15.0 - h2 * (
-                2.0 / 189.0 - h2 * (1.0 / 675.0 - h2 * (2.0 / 10395.0))))) / FOUR_PI_SQUARED
-        ratio = 2.0 * h * math.exp(-h) / -math.expm1(-2.0 * h)
-        return (1.0 - ratio * ratio) / FOUR_PI_SQUARED / s / s
+            r = np.where(small, half_y * half_y * (1.0 / 3.0 - h2 * (1.0 / 15.0 - h2 * (
+                2.0 / 189.0 - h2 * (1.0 / 675.0 - h2 * (2.0 / 10395.0)))))
+                / FOUR_PI_SQUARED, r)
+        return r
 
     return remainder

@@ -530,14 +530,16 @@ def test_j_fn_where_lerch_weight_underflows():
 
 
 def test_closed_form_and_cli_load_no_scipy():
-    # the log-z branch (a = 1000, 3e6) needs psi and zeta; the oracles
-    # alone import scipy, on their first quadrature
+    # the log-z branch (a = 1000, 3e6) needs psi and zeta, and both oracles
+    # run their own quadrature rule and far-image power sums
     code = (
         "import sys, unruh_otto, unruh_otto.cli\n"
         "from unruh_otto import cli\n"
         "for argv in (['j-fn', '--x', '-0.001', '--y', '2'],\n"
         "             ['delta-p', '--a', '3e6', '--p', '0.3', '--v', '0.8'],\n"
-        "             ['oracle-check', '--help']):\n"
+        "             ['oracle-check', '--help'],\n"
+        "             ['oracle-check'],\n"
+        "             ['oracle-check', '--representation', 'sinh2d']):\n"
         "    try:\n"
         "        assert cli.main(argv) == 0\n"
         "    except SystemExit as exc:\n"
