@@ -250,19 +250,19 @@ def quad(func, a: float, b: float, *, points, limit: int, epsabs: float,
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _qk21(func, np.array(lo), np.array(hi))
     while len(vals) < limit:
-        err = sum(errs)
-        if not (max(epsabs, epsrel * abs(sum(vals))) < err < math.inf):
+        total = sum(errs)
+        if not (max(epsabs, epsrel * abs(sum(vals))) < total < math.inf):
             break
         i = errs.index(max(errs))
         mid = 0.5 * (lo[i] + hi[i])
         # the left half takes panel i's place, the right half is appended
-        (vals[i], val), (errs[i], err) = _qk21(
+        (vals[i], right_val), (errs[i], right_err) = _qk21(
             func, np.array([lo[i], mid]), np.array([mid, hi[i]]))
         lo.append(mid)
         hi.append(hi[i])
         hi[i] = mid
-        vals.append(val)
-        errs.append(err)
+        vals.append(right_val)
+        errs.append(right_err)
     return sum(vals), sum(errs)
 
 
