@@ -16,8 +16,8 @@ append columns.
 
 Exit codes: 0 success, 1 check failed (oracle-check mismatch),
 2 domain error (single-line diagnostic on stderr), 3 an oracle value or
-error estimate beyond the float range, or a failed internal consistency
-check.
+error estimate beyond the float range, |omega T| beyond 800 pi over the
+oracle's cut, or a failed internal consistency check.
 """
 
 import argparse

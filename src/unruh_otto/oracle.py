@@ -26,8 +26,8 @@ supplies only R:
 
 ``integrate_imagesum_1d``
     the image expansion, R = -[images at s = +-2 pi i k/y] / (4 pi^2),
-    summed over every k >= 1: the near images one by one, the rest
-    through Hurwitz zeta power sums;
+    summed over every k >= 1: the first 31 pairs one by one, the rest
+    through the asymptotic series of the trigamma function;
 
 ``integrate_sinh_2d``
     the sinh form -y^2 / (16 pi^2 sinh^2(y s / 2 - i0)), from the double
@@ -71,9 +71,11 @@ cancels the closed-form term 1/(8 pi W) - 1/(8 pi S), hence
 at most ``_window_tail(y, S)`` for every W >= S, infinity included.  So
 the window is only a cap: both routes stop at S = ``_cut(y, window)``,
 and their error estimate is the quadrature error, plus
-``_window_tail(y, S)``, plus, for the 1-D route, the first term its power
-series over the far images drops.  The image poles are no features of
-the (smooth) integrand, so both routes share one set of break points.
+``_window_tail(y, S)``, plus, for the 1-D route, a constant bound on the
+far images' Euler-Maclaurin remainder (``_far_sum``).  The image poles are
+no features of the smooth integrand, so the routes share their break
+points.  Beyond |q| = 800 pi / S, where 100 panels of 4 periods of
+cos(q s) do not reach S, both raise NonConvergenceError.
 
 The rule
 --------
@@ -81,10 +83,8 @@ The rule
 1983): the 21-point Gauss-Kronrod pair qk21 on each panel between the
 break points, with QUADPACK's error heuristic, and bisection of the panel
 with the largest estimate until the estimates meet the tolerance.  Each
-panel's 21 nodes are one call of the integrand, which takes arrays, and
-the far images' Hurwitz zeta power sums come from Euler-Maclaurin
-(``_power_sums``), so the oracles need no scipy and share no code with
-the closed form.
+panel's 21 nodes are one call of the integrand, which takes arrays.  The
+oracles need no scipy and share no code with the closed form.
 
 Normalization
 -------------
@@ -109,12 +109,10 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, check_positive
 
-TWO_PI = 2.0 * math.pi
 FOUR_PI_SQUARED = 4.0 * math.pi ** 2
 _QUAD_LIMIT = 300
 _EPSABS = 1e-15    # quad's absolute tolerance, and the window-tail bound at the cut
 _EPSREL = 1e-13
-_FAR_TERMS = 12    # of the power series over the far images
 
 
 @dataclass(frozen=True)
@@ -308,27 +306,30 @@ def _integrate(route, y: float, q: float, window: float,
                representation: str) -> OracleResult:
     """Integrate w_1(s) e^{i q s} K(s) over |s| <= window at epsilon -> 0.
 
-    K = -1/(4 pi^2 (s - i0)^2) + R(s); the singular part is taken in
-    closed form (module docstring), so one real quadrature over [0, S],
-    S = ``_cut(y, window)``, remains.  ``route(S)`` returns R and a bound
-    on the value's error from the approximations inside R.  R falls from
-    its value at s = 0 to 1 / (4 pi^2 s^2) around s = 2 / y; break points
-    at 2/y, 8/y, 32/y, ... below S keep the quadrature from stepping over
-    that where it is narrow against the Lorentzian width 1 (at most 5,
-    since S is below 2^9 / y).  Where [0, S] holds more than 4 periods of
-    cos(q s), n - 1 more split it evenly, n = ceil(S |q| / 8 pi) <= 100:
-    on a panel across tens of periods the rule's estimate fell short of its
-    error.  Error: the quadrature error + ``_window_tail(y, S)`` + the
-    bound from ``route``.  A value or estimate beyond the float range is
-    NonConvergenceError.
+    K = -1/(4 pi^2 (s - i0)^2) + R(s); with the singular part in closed form
+    (module docstring) one real quadrature over [0, S] remains, at
+    S = ``_cut(y, window)``.  ``route(S)`` returns R and a bound on the
+    value's error from the approximations inside R.  R falls from its value
+    at s = 0 to 1 / (4 pi^2 s^2) around s = 2 / y; break points at 2/y, 8/y,
+    32/y, ... below S (at most 5, since S < 2^9 / y) keep the quadrature
+    from stepping over that where it is narrow against the Lorentzian width
+    1.  n = ceil(S |q| / 8 pi) even panels hold at most 4 periods of
+    cos(q s) each: across tens of periods the rule's estimate fell short of
+    its error.  Beyond n = 100 (S |q| > 800 pi), and for a value or estimate
+    beyond the float range, NonConvergenceError.  Error: the quadrature
+    error + ``_window_tail(y, S)`` + the bound from ``route``.
     """
     cut = _cut(y, window)
+    phase = cut * abs(q)    # inf at |q| near the float maximum: compare before ceil
+    if phase > 800.0 * math.pi:
+        raise NonConvergenceError(f"|omega T| = {abs(q)!r} is beyond 800 pi / {cut!r}: "
+                                  "100 panels of 4 periods do not reach the cut")
     points = []
     s = 2.0 / y
     while s < cut:
         points.append(s)
         s *= 4.0
-    n = math.ceil(min(100.0, cut * abs(q) / (8.0 * math.pi)))
+    n = math.ceil(phase / (8.0 * math.pi))
     points += [cut * k / n for k in range(1, n)]
     # beyond the float range R or the integrand is inf or nan, and the
     # check below raises
@@ -362,7 +363,7 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
     [ 1/(s - i0)^2 + sum_{k=1}^{inf} ( 1/(s - i c k)^2 + 1/(s + i c k)^2 ) ]
     over |s| <= window, with every image summed (``_image_remainder``).
     The quadrature stops at the cut of ``_integrate``, and the near images
-    are counted from it, so no window is too long.
+    are a fixed 31, so no window is too long.
     """
     y, q = _reduced(alpha, omega, T)
     return _integrate(lambda cut: _image_remainder(y, cut), y, q,
@@ -371,77 +372,46 @@ def integrate_imagesum_1d(alpha: float, omega: float, T: float,
 
 def _image_remainder(y: float, window: float):
     """R(s) of ``integrate_imagesum_1d`` summed over every image for
-    0 <= s <= window, and a bound on the value's error from the series of
-    the far images.
+    0 <= s <= window, and a bound on the value's error from the far images.
 
-    With t = s y / (2 pi), the pair at s = +-2 pi i k / y is
-    2 (y / 2 pi)^2 (t^2 - k^2) / (t^2 + k^2)^2.  The pairs up to
-    k_lo = ceil(6 window y / 2 pi) are summed one by one.  With b = k_lo + 1
-    and x = (t / b)^2 < 1/36 on the window, the pairs k >= b sum to
-
-        2 (y / 2 pi b)^2 sum_{m >= 0} (-1)^(m+1) (2m + 1) x^m Z_(2m+2),
-
-    where Z_n = sum_{k >= b} (b / k)^n (``_power_sums``) falls with n.  The
-    terms alternate and shrink at least 12-fold, so the first dropped term
-    bounds the series' error.  Of 12 terms kept, it is at most
-    25 / 36^12 = 5e-18 of the leading one; taken at s = window and
-    integrated against the window weight, it is the returned bound.
-    R takes an array of s, one row of the (s, k) table per entry.  Every
-    table entry is O(k_lo^2); only the scalar (y / 2 pi)^2 can leave the
-    float range, and then R is infinite and ``_integrate`` raises.
+    With t = s y / (2 pi), the pair at s = +-2 pi i k / y is -2 (y / 2 pi)^2
+    Re g(k), g(k) = 1 / (k - i t)^2: -Re g(k) = (t^2 - k^2) / (t^2 + k^2)^2
+    one by one for k < _FAR, one row of a fixed (s, k) table per entry of the
+    array s, and by ``_far_sum`` beyond.  Only the scalar (y / 2 pi)^2 can
+    leave the float range, and then R is infinite and ``_integrate`` raises.
     """
-    inv_c = y / TWO_PI
-    k_lo = math.ceil(6.0 * window * inv_c)
-    k2 = np.arange(1, k_lo + 1, dtype=float) ** 2
-    b = k_lo + 1.0
-    x_max = (window * inv_c / b) ** 2
-    z = _power_sums(b)
-    m = np.arange(_FAR_TERMS)
-    coefs = (-1.0) ** (m + 1) * (2 * m + 1) * z[:_FAR_TERMS] / (b * b)
+    inv_c = y / (2.0 * math.pi)
     scale = inv_c * inv_c / FOUR_PI_SQUARED
 
     def remainder(s):
         t = np.asarray(s) * inv_c
         t2 = (t * t)[..., None]
-        far = (t2 / (b * b)) ** m @ coefs
-        d = t2 + k2
-        return -2.0 * scale * (((t2 - k2) / (d * d)).sum(axis=-1) + far)
+        d = t2 + _NEAR_K2
+        return 2.0 * scale * (_far_sum(t) - ((t2 - _NEAR_K2) / (d * d)).sum(axis=-1))
 
-    # the dropped term of R at s = W, times 2 Integral_0^W w_1 = (pi / 2) atan(W)
-    dropped = (2.0 * scale * (2 * _FAR_TERMS + 1) * x_max ** _FAR_TERMS
-               * float(z[_FAR_TERMS]) / (b * b))
-    return remainder, 0.5 * math.pi * math.atan(window) * dropped
+    # _far_sum's error in R, times 2 Integral_0^W w_1 = (pi / 2) atan(W)
+    return remainder, scale * math.pi * math.atan(window) * _FAR_ERROR
 
 
-# Euler-Maclaurin for Z_n = sum_{k >= b} (b / k)^n, n = 2, 4, ..., 26: the
-# first _EM_DIRECT terms one by one, then at x = b + _EM_DIRECT
-#   sum_{k >= x} f(k) = Integral_x^inf f + f(x) / 2
-#                       - sum_{j=1}^{12} B_2j / (2j)! f^(2j-1)(x) + remainder,
-# with f(k) = (b/k)^n: (b/x)^n (x / (n-1) + 1/2 + sum_j C_nj / x^(2j-1)),
-# C_nj = B_2j / (2j)! * n (n+1) ... (n+2j-2).  At x >= 33 the remainder is
-# below 1e-19 of (b/x)^n x for every n <= 26.
-_EM_DIRECT = 32
-_ORDERS = np.arange(2.0, 2 * _FAR_TERMS + 3, 2)
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
-              (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
-              (854513, 138), (-236364091, 2730))    # B_2, ..., B_24
-_EM_COEFS = np.array([[num * math.prod(range(n, n + 2 * j - 1))
-                       / (den * math.factorial(2 * j))
-                       for j, (num, den) in enumerate(_BERNOULLI, 1)]
-                      for n in range(2, 2 * _FAR_TERMS + 3, 2)])    # n = _ORDERS
+_FAR = 32
+_NEAR_K2 = np.arange(1.0, _FAR) ** 2
+_FAR_POWERS = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0])
+_FAR_COEFS = np.array([1, 1 / 2, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                       -691 / 2730, 7 / 6, -3617 / 510])    # 1, 1/2, B_2, ..., B_16
+_FAR_ERROR = 3617 / 510 / _FAR ** 17    # |B_16| / _FAR^17 = 1.8e-25
 
 
-def _power_sums(b: float):
-    """Z_n = sum_{k >= b} (b / k)^n = b^n zeta(n, b) for n = 2, 4, ..., 26
-    and b >= 1, by Euler-Maclaurin (the table above).  (b / k)^n is taken
-    as exp(-n log1p((k - b) / b)), whose rounding error falls with
-    (k - b) / b, where a rounded b / k to the power n would gain n ulps."""
-    n = _ORDERS[:, None]
-    direct = np.exp(-n * np.log1p(np.arange(_EM_DIRECT) / b)).sum(axis=1)
-    x = b + _EM_DIRECT
-    odd_powers = x ** -np.arange(1.0, 2 * len(_BERNOULLI), 2.0)
-    tail = x / (_ORDERS - 1.0) + 0.5 + _EM_COEFS @ odd_powers
-    return direct + np.exp(-_ORDERS * math.log1p(_EM_DIRECT / b)) * tail
+def _far_sum(t):
+    """Re sum_{k >= _FAR} 1 / (k - i t)^2 for an array of t, within _FAR_ERROR:
+    Euler-Maclaurin on the pair term (DLMF 2.10.1), which is the asymptotic
+    series of the trigamma function at x = _FAR - i t (DLMF 5.15.8),
+    1/x + 1/(2 x^2) + sum_{j=1}^8 B_2j / x^(2j+1).  The 16th k-derivative of
+    1 / (k - i t)^2 is at most 17! / k^18 for every t, so the remainder is at
+    most 2 zeta(16) / (2 pi)^16 Integral_{_FAR}^inf 17! / k^18 dk = |B_16| / _FAR^17.
+    Complex powers keep Re 1/x = _FAR / (_FAR^2 + t^2) to an ulp, where
+    rho cos(atan2(t, _FAR)) lost 2e-14 of it at t = 1e5."""
+    w = 1.0 / (_FAR - 1j * np.asarray(t))
+    return (w[..., None] ** _FAR_POWERS).real @ _FAR_COEFS
 
 
 def integrate_sinh_2d(alpha: float, omega: float, T: float,

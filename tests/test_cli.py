@@ -454,6 +454,17 @@ def test_oracle_check_is_scale_free(alpha, omega, duration, representation):
 
 
 @pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
+def test_oracle_check_oscillation_beyond_the_panels_exits_3(representation):
+    # printed abs_diff 1.25e299 against a j_error_estimate of 5.1e61 (exit
+    # 1): 100 panels of 4 periods of cos(q s) hold |q| only up to 800 pi / S
+    proc = run("oracle-check", "--alpha", "1", "--omega", "-1e300",
+               "--duration", "1", "--representation", representation)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: |omega T| = 1e+300 is beyond 800 pi")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("representation", ["imagesum1d", "sinh2d"])
 @pytest.mark.parametrize("flags", [["--duration", "0.001", "--window", "1e-320"]],
                          ids=["tiny-window"])
 def test_oracle_check_regulator_beyond_window_exits_3(flags, representation):
@@ -531,7 +542,7 @@ def test_j_fn_where_lerch_weight_underflows():
 
 def test_closed_form_and_cli_load_no_scipy():
     # the log-z branch (a = 1000, 3e6) needs psi and zeta, and both oracles
-    # run their own quadrature rule and far-image power sums
+    # run their own quadrature rule and far-image Euler-Maclaurin sum
     code = (
         "import sys, unruh_otto, unruh_otto.cli\n"
         "from unruh_otto import cli\n"

@@ -8,8 +8,10 @@ suite.  The regulated kernels, whose epsilon -> 0 limit both routes take
 exactly, survive here as a test-only reference.
 """
 
+import ast
 import cmath
 import math
+import pathlib
 import random
 import sys
 import tracemalloc
@@ -227,8 +229,8 @@ def test_image_remainder_is_the_sinh_remainder(y):
     # s = 19.9, 0.2 ulps of that sum).  The reference is the sinh form at
     # 50 digits, because _sinh_remainder cancels too: 159 ulps of R at
     # y = 0.3, s = 1.  Summed only to k = 1000, the images missed R by up
-    # to 1.04 at y = 900.  The bound on the far images' power series is
-    # far below rounding.
+    # to 1.04 at y = 900.  The bound on the far images' Euler-Maclaurin
+    # remainder is far below rounding.
     image, error = _image_remainder(y, 20.0)
     assert error <= EPS * 1e-3
     with mpmath.workdps(50):
@@ -402,8 +404,8 @@ def test_long_window_imagesum_meets_closed_form():
 
 
 def test_long_window_imagesum_memory_stays_small():
-    # window = 1e6 holds 318308 image poles; the near images are counted
-    # from the cut, not the window, so the table stays small
+    # window = 1e6 holds 318308 image poles; the near images are a fixed
+    # 31, whatever the window, so the table stays small
     tracemalloc.start()
     try:
         res = integrate_imagesum_1d(1.0, 0.5, 1.0, QuadratureSpec(window=1e6))
@@ -521,18 +523,49 @@ def test_long_cut_estimate_covers_closed_form(integrate):
         assert abs(res.j_estimate - j_function(x, y)) <= res.j_error_estimate
 
 
-@pytest.mark.parametrize("b", [2.0, 3.0, 10.0, 1e3, 1e8, 1e12])
-def test_power_sums_match_mpmath(b):
-    # Z_n = sum_{k >= b} (b / k)^n = b^n zeta(n, b), n = 2, 4, ..., 26, by
-    # Euler-Maclaurin.  mpmath forms b^n and zeta(n, b) apart, so it needs
-    # about n log10(b) more digits: at 40 digits it was off by 1.7e-10 at
-    # b = 1e3, n = 26
-    z = oracle._power_sums(b)
-    assert len(z) == 13
-    for n, value in zip(range(2, 27, 2), z):
-        with mpmath.workdps(30 + int(n * math.log10(b))):
-            want = mpmath.zeta(n, b) * mpmath.mpf(b) ** n
-        assert abs(value - want) <= 1e-15 * want
+@pytest.mark.parametrize("integrate", [integrate_imagesum_1d,
+                                       integrate_sinh_2d])
+def test_oscillation_beyond_the_panels_is_typed_error(integrate):
+    # 100 panels of 4 periods of cos(q s) hold |q| up to 800 pi / S.  Beyond
+    # that the estimate need not cover the error: at x = -894.73,
+    # y = 2.148e-3, window 1e300 (S = 4096, S |q| / 8 pi = 313), both routes
+    # missed 50-digit mpmath by 3.07e-14 against an estimate of 2.72e-14.
+    # At y = 1, window 20, S = 20
+    S = oracle._cut(1.0, 20.0)
+    bound = 800.0 * math.pi / S
+    res = integrate(1.0, -bound * (1.0 - 1e-9), 1.0)
+    assert abs(res.j_estimate - j_function(-bound, 1.0)) <= res.j_error_estimate
+    x_miss, y_miss = -894.7331717879207, 0.002148489500824273
+    for y, q, window in ((1.0, -bound * (1.0 + 1e-9), 20.0),
+                         (y_miss, x_miss * y_miss, 1e300),
+                         (1.0, -1e308, 20.0)):
+        with pytest.raises(NonConvergenceError, match="beyond 800 pi"):
+            integrate(y, q, 1.0, QuadratureSpec(window=window))
+
+
+def test_oracle_shares_no_code_with_the_closed_form():
+    # the oracles check J only while they are independent of it: the one
+    # import oracle.py takes from the package is its error types
+    path = pathlib.Path(__file__).parents[1] / "src" / "unruh_otto" / "oracle.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    package = [name for name in imported
+               if name.startswith(".") or name.split(".")[0] == "unruh_otto"]
+    assert package == [".errors"]
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-8, 1.0, 31.0, 32.0, 81.5, 1e3, 1e5])
+def test_far_sum_is_the_trigamma_tail(t):
+    # the 1-D route's images k >= 32, by Euler-Maclaurin on the pair term:
+    # Re sum_{k >= 32} 1 / (k - i t)^2 = Re psi'(32 - i t).  On the cut t
+    # stays below 2^9 / 2 pi = 81.5; 1e3 and 1e5 check the series beyond
+    with mpmath.workdps(40):
+        want = mpmath.re(mpmath.psi(1, mpmath.mpc(32, -t)))
+    assert abs(oracle._far_sum(t) - want) <= 1e-15 * want
 
 
 def test_value_beyond_float_range_is_typed_error():
