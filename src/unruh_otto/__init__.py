@@ -4,7 +4,8 @@ A two-level detector is dragged along hyperbolic worldline segments
 through the Minkowski vacuum; the resulting population kicks play the
 role of heat strokes in a four-stage Otto cycle.  The package provides
 the closed-form vacuum response and population corrections
-(:mod:`~unruh_otto.response` on top of :mod:`~unruh_otto.specfun`), two
+(:mod:`~unruh_otto.response`, whose four Lerch terms
+:mod:`~unruh_otto.specfun` sums as one series), two
 independent quadrature oracles validating them (:mod:`~unruh_otto.oracle`),
 worldline kinematics (:mod:`~unruh_otto.kinematics`), the cycle ledger
 and feasibility analysis (:mod:`~unruh_otto.engine`), and a CLI
@@ -13,9 +14,7 @@ and feasibility analysis (:mod:`~unruh_otto.engine`), and a CLI
 
 __version__ = "0.1.0"
 
-from .errors import (ConsistencyError, DomainError, NonConvergenceError,
-                     ResourceLimitError)
-from .specfun import lerch_phi
+from .errors import ConsistencyError, DomainError, NonConvergenceError
 from .response import (V_MAX, ValidityVerdict, delta_p, delta_p_unreduced,
                        j_function, perturbative_validity, v_max_for,
                        vacuum_response)
@@ -30,8 +29,6 @@ from .engine import (CycleSolution, EngineConfig, StageLedger,
 __all__ = [
     "__version__",
     "ConsistencyError", "DomainError", "NonConvergenceError",
-    "ResourceLimitError",
-    "lerch_phi",
     "V_MAX", "ValidityVerdict", "delta_p", "delta_p_unreduced", "j_function",
     "perturbative_validity", "v_max_for", "vacuum_response",
     "Worldline", "contact_durations", "trajectory_point", "velocity",

@@ -15,10 +15,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ResourceLimitError(RuntimeError):
-    """A computation would exceed its configured resource cap (e.g. series term count)."""
-
-
 class NonConvergenceError(RuntimeError):
     """A numerical procedure failed to converge within its error budget."""
 

@@ -13,7 +13,9 @@ the thermal structure of the accelerated vacuum:
            + (y^2 z / 32 pi^2) [phi(z,2,1+y/2pi) - phi(z,2,1-y/2pi)]
            + (|x| y^2 z / 16 pi) [phi(z,1,1+y/2pi) - phi(z,1,1-y/2pi)],
 
-with z = e^{-2 pi |x|}.  Two exact properties pin the normalization and
+with z = e^{-2 pi |x|}.  The four Lerch terms are one series in z^n
+(``specfun.lerch_part``), which ``j_function`` adds to the rest.  Two
+exact properties pin the normalization and
 are exercised heavily by the test suite:
 
     J(x,y) - J(-x,y) = x*y/4          (detailed-balance-like asymmetry)
@@ -30,10 +32,9 @@ identity.  Both forms are exposed and must agree to 1e-10.
 
 Domain: y must lie in (0, 2*pi), which for cycle speeds means
 v < tanh(pi) ~ 0.99627.  That is a limit of this evaluation, not of the
-response: the Lerch shift 1 - y/2pi reaches zero at y = 2*pi, and the
-Lerch sums (``specfun``, all four from one call) need a shift a > 0 (the
-double pole there cancels against the sin^2(y/2) factor, and J stays
-finite and smooth through y = 2*pi).
+response: at y = 2*pi the Lerch shift 1 - y/2pi reaches zero, and the
+series' first term has a double pole in y (it cancels against the
+sin^2(y/2) factor, and J stays finite and smooth through y = 2*pi).
 Values of J can be negative at small reduced
 acceleration; this is a genuine feature of the finite-contact response and
 marks the region where the perturbative treatment loses validity (see
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DomainError, check_positive
-from .specfun import _lerch_table
+from .specfun import lerch_part
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +91,6 @@ def j_function(x: float, y: float) -> float:
 
     ax = abs(x)
     z = math.exp(-TWO_PI * ax)
-    shift = y / TWO_PI
     sin_half = math.sin(0.5 * y)
 
     if sin_half ** 2 >= sys.float_info.min:
@@ -103,11 +103,7 @@ def j_function(x: float, y: float) -> float:
         return value
     # z rounds to 1 below |x| ~ 8.8e-18; the log-z expansion takes log z exactly
     log_z = math.log(z) if z < 1.0 else -TWO_PI * ax
-    (p1, m1), (p2, m2) = _lerch_table(z, log_z, (1, 2),
-                                      (1.0 + shift, 1.0 - shift))
-    value += y * y * z / (32.0 * math.pi ** 2) * (p2 - m2)
-    value += ax * y * y * z / (16.0 * math.pi) * (p1 - m1)
-    return value
+    return value + lerch_part(z, log_z, ax, y)
 
 
 def vacuum_response(alpha: float, omega: float, duration: float) -> float:

@@ -1,59 +1,55 @@
-"""Lerch transcendent evaluation with a certified absolute error.
+"""J's Lerch part as one series, with a bound on every approximation.
 
-The only special function needed by the vacuum-response closed form is
+The closed form of the vacuum response (``response``) carries four Lerch
+transcendents phi(z, s, a) = sum_{k>=0} z^k / (k + a)^s, at orders s = 1, 2
+and shifts 1 +- c, with z = e^{-2 pi |x|} and c = y / 2pi < 1.  With
+n = k + 1, A = y^2 / 32pi^2 and B = |x| y^2 / 16pi they are one series:
 
-    phi(z, s, a) = sum_{k>=0} z^k / (k + a)^s
+    A z [phi(z,2,1+c) - phi(z,2,1-c)] + B z [phi(z,1,1+c) - phi(z,1,1-c)]
+        = sum_{n>=1} z^n r(n),
 
-on the real series domain 0 <= z < 1, a > 0, with s a positive integer
-(s = 1 or 2 in practice).  Two branches share one contract: the returned
-value carries a guaranteed absolute error below the fixed ``TOL`` = 1e-12.
+    r(n) = -4 A c n / d^2 - 2 B c / d = -(y^3 / 16pi^2) (n / (pi d) + |x|) / d,
 
-Direct summation
-    The series is summed in numpy chunks until the rigorous geometric
-    tail bound
+with d = n^2 - c^2, formed as (n - c)(n + c).  ``lerch_part`` returns it
+from one of two branches, chosen by |log z| = 2 pi |x|.
 
-        tail(N) <= z^(N+1) / ((N + 1 + a)^s * (1 - z))
+Direct summation (|log z| > 2pi/100, reduced accelerations below 100)
+    Since c < 1, |r(n)| falls as n grows, so the terms after the first N
+    sum to at most z^(N+1) |r(N+1)| / (1 - z).  The series is one numpy
+    reduction over the shortest power-of-two prefix, from 16 terms, whose
+    bound is below 2^-60 z |r(1)|, a small fraction of an ulp of the first
+    term.  At the switch z^512 = e^-32, and 512 terms meet the bound for
+    every c, so no term cap is needed.
 
-    drops below ``TOL``.  It needs about log(1/TOL) / |log z| terms, which
-    grows without limit as z -> 1, so a hard term cap turns an input too
-    close to 1 into a loud ``ResourceLimitError`` instead of a silent
-    truncation.  One call sums every order s at every shift a it is given
-    with one z^k and one chunk: the longest of the sums' shortest powers of
-    two, from 128 to 4096, whose tail is also below 2^-60 (a+1)^-s, under
-    half an ulp of the sum.  numpy sums pairwise, so the sum of each prefix
-    is the leftmost subtree of the 4096-term sum and rounds to the same
-    bytes, and the chunk stops before the terms that underflow.
+Log-z expansion (|log z| <= 2pi/100)
+    For z near 1 the direct series would need about 40 / |log z| terms.
+    The four phi, whose shifts 1 +- c lie in (0, 2], come instead from the
+    Erdelyi expansion in w = log z (DLMF 25.14; F. Johansson, Numer.
+    Algorithms 69 (2015), arXiv:1309.2877), whose cost does not grow as
+    z -> 1:
 
-Log-z expansion
-    For z near 1 (|log z| <= 2 pi / 100) and 0 < a <= 2 — which covers
-    every shift 1 +- y/2pi the response function passes — the Erdelyi
-    expansion in w = log z (DLMF 25.14; F. Johansson, Numer. Algorithms 69
-    (2015), arXiv:1309.2877) is used instead:
-
-        phi = z^-a { sum_{n=0}^{s-2} zeta(s-n, a) w^n / n!
-                     + [H_{s-1} - gamma - psi(a) - log(-w)] w^(s-1) / (s-1)!
+        phi = z^-a { [zeta(2, a), for s = 2]
+                     + [H_{s-1} - gamma - psi(a) - log(-w)] w^(s-1)
                      + sum_{k>=0} zeta(-k, a) w^(s+k) / (s+k)! },
 
     with zeta(-k, a) = -B_{k+1}(a) / (k+1) for 0 < a <= 1 and
     zeta(-k, a) = zeta(-k, a-1) - (a-1)^k for 1 < a <= 2.  Each term
-    shrinks by about r = |w| / 2pi <= 1/100, so a handful of terms meet
-    ``TOL`` at any reduced acceleration.  Since |B_n(x)| <= 2 zeta(n) n! /
-    (2pi)^n on [0, 1] for n >= 2, the terms from k = K on are bounded by
+    shrinks by about r = |w| / 2pi <= 1/100.  Since |B_n(x)| <= 2 zeta(n)
+    n! / (2pi)^n on [0, 1] for n >= 2, the terms from k = K on are bounded
+    by
 
         z^-a [ (pi^2/3) |w|^(s-1) r^(K+1) / ((K+1)^s (1-r))
                + |w|^(s+K) / ((s+K)! (1-|w|)) ],
 
-    the second part only when the shift a -> a-1 was taken.  At the switch
-    K = _NEGATIVE_TERMS = 6 certifies TOL for every s >= 1 and 0 < a <= 2
-    (five terms leave 1e-10 at s = 1, a > 1).  The switch is not lower
-    because reduced accelerations up to 100, where the CLI's examples and
-    tests live, keep the direct branch's exact output.
+    the second part only when the shift a -> a-1 was taken.  Every call
+    takes K = _NEGATIVE_TERMS = 6 terms, which leave at most 1e-12 for
+    s = 1 and 1e-14 for s = 2 at the switch, and far less inside it.
 
     psi(a), zeta(2, a) and zeta(-k, a) depend on the shift alone and are
     kept for the last two shifts: a sweep over x at fixed y reuses them.
 
 psi and zeta without scipy
-    The expansion needs psi(a) and zeta(n, a), n = 2 .. s, for 0 < a <= 2.
+    The expansion needs psi(a) and zeta(2, a) for 0 < a <= 2.
     Both recur upward, psi(a) = psi(a + N) - sum_{k<N} 1/(a + k) and
     zeta(n, a) = zeta(n, a + N) + sum_{k<N} (a + k)^-n, with N = 8, and
     take the shifted value from its asymptotic series in B_2j / x^2j
@@ -66,24 +62,13 @@ psi and zeta without scipy
 
 import functools
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, check_positive
-
-TOL = 1e-12
-TERM_CAP = 10_000_000
-
-_CHUNK = 4096
-_TERMS = np.arange(float(_CHUNK))  # the indices k of one chunk, 32 KB
-# log of the largest float: a^-s is beyond the float range above it
-_LOG_MAX = math.log(sys.float_info.max)
-
-# The log-z expansion runs for |log z| up to this and 0 < a <= 2.
+# The log-z expansion runs for |log z| up to this.
 _LOG_Z_SWITCH = 2.0 * math.pi / 100.0
-# zeta(0, a) .. zeta(1 - _NEGATIVE_TERMS, a) certify TOL (module docstring)
+# zeta(0, a) .. zeta(1 - _NEGATIVE_TERMS, a): the terms the expansion takes
 _NEGATIVE_TERMS = 6
 _MAX_ORDER = 30  # of the exact Bernoulli numbers
 # psi and zeta recur from 0 < a <= 2 up to about a + _SHIFT (at least 7.5),
@@ -91,6 +76,9 @@ _MAX_ORDER = 30  # of the exact Bernoulli numbers
 # below 1e-18 of the value.
 _SHIFT = 8
 _SERIES_TERMS = 12
+# the longest direct prefix: z^512 = e^-32 at the switch (module docstring)
+_MAX_TERMS = 512
+_N = np.arange(1.0, _MAX_TERMS + 1.0)  # n = 1 .. _MAX_TERMS, 4 KB
 
 
 @functools.cache
@@ -214,101 +202,40 @@ def _shift_terms(a: float) -> tuple:
 
 
 def _log_z_series(w: float, s: int, a: float) -> float:
-    """phi(e^w, s, a) within TOL by the log-z expansion, for
-    -_LOG_Z_SWITCH <= w < 0 and 0 < a <= 2."""
+    """phi(e^w, s, a) by the log-z expansion for s = 1, 2,
+    -_LOG_Z_SWITCH <= w < 0 and 0 < a <= 2, within 1e-12 (module docstring)."""
     psi, zeta_2, zetas = _shift_terms(a)
-    r = -w / (2.0 * math.pi)
-    scale = math.exp(-a * w)  # z^-a
-    total = harmonic = 0.0
-    for n in range(s - 1):
-        zeta = zeta_2 if n == s - 2 else _hurwitz_zeta(s - n, a)
-        total += zeta * w ** n / math.factorial(n)
-        harmonic += 1.0 / (n + 1)
-    total += ((harmonic - np.euler_gamma - psi - math.log(-w))
-              * w ** (s - 1) / math.factorial(s - 1))
-
-    # stop where the bound first meets TOL; at _NEGATIVE_TERMS it always has
-    power = w ** s / math.factorial(s)  # w^(s+k) / (s+k)!
-    powers = []
-    bound = scale * math.pi ** 2 / 3.0 * (-w) ** (s - 1) * r / (1.0 - r)
-    for n in range(1, _NEGATIVE_TERMS + 1):
-        powers.append(power)
-        power *= w / (s + n)
-        bound *= r  # z^-a times the first part of the bound, times (n+1)^s
-        tail = bound / (n + 1) ** s
-        if a > 1.0:  # the shift a -> a-1 was taken
-            tail += scale * abs(power) / (1.0 + w)
-        if tail <= TOL:
-            break
-    for zeta, power in zip(zetas, powers):
+    head = (s - 1.0) - np.euler_gamma - psi - math.log(-w)  # H_{s-1} = s - 1
+    total = zeta_2 + head * w if s == 2 else head
+    power = w ** s / s  # w^(s+k) / (s+k)!, with s! = s
+    for k, zeta in enumerate(zetas):
         total += zeta * power
-    return scale * total
+        power *= w / (s + k + 1)
+    return math.exp(-a * w) * total
 
 
-def _lerch_table(z: float, log_z: float, orders: tuple,
-                 shifts: tuple) -> list:
-    """phi(z, s, a) within TOL for s in ``orders`` (rows) and a in
-    ``shifts`` (columns), for checked arguments: 0 < z < 1 and log_z = log z,
-    or z = 1 and log_z < 0 where the log-z expansion certifies every entry."""
-    near_one = -log_z <= _LOG_Z_SWITCH
-    table = [[_log_z_series(log_z, s, a) if near_one and a <= 2.0
-              else None for a in shifts] for s in orders]
-    direct = [(row, j, s, a) for row, s in zip(table, orders)
-              for j, a in enumerate(shifts) if row[j] is None]
+def lerch_part(z: float, log_z: float, x_abs: float, y: float) -> float:
+    """J's four Lerch terms, sum_{n>=1} z^n r(n) (module docstring), for
+    0 < z <= 1 with log_z = log z = -2 pi x_abs, and 0 < y < 2 pi."""
+    c = y / (2.0 * math.pi)
+    if -log_z <= _LOG_Z_SWITCH:
+        (p1, m1), (p2, m2) = ((_log_z_series(log_z, s, 1.0 + c),
+                               _log_z_series(log_z, s, 1.0 - c))
+                              for s in (1, 2))
+        return (y * y * z / (32.0 * math.pi ** 2) * (p2 - m2)
+                + x_abs * y * y * z / (16.0 * math.pi) * (p1 - m1))
 
-    def tail(n, s, a):
-        return math.exp(n * log_z) / ((n + a) ** s * (1.0 - z))
+    def weight(n):  # |r(n)| 16pi^2 / y^3
+        d = (n - c) * (n + c)
+        return (n / (math.pi * d) + x_abs) / d
 
-    # the longest of the shortest chunks that keep each sum's bytes (above)
-    chunk = 128
-    for row, j, s, a in direct:
-        row[j] = 0.0
-        floor = min(TOL, 2.0 ** -60 * (a + 1.0) ** -s)
-        while chunk < _CHUNK and tail(chunk, s, a) > floor:
-            chunk *= 2
-    n = 0
-    while direct:  # past the first chunk, chunk == _CHUNK
-        if n >= TERM_CAP:
-            raise ResourceLimitError(
-                f"lerch_phi needs more than {TERM_CAP} terms at "
-                f"z={z!r}; the mantissa is too close to 1 for direct summation")
-        k = _TERMS[:chunk] + n
-        powers, denominators = np.exp(k * log_z), np.add.outer(shifts, k)
-        sums = {s: np.add.reduce(powers / denominators ** s, axis=1)
-                for s in orders}
-        n += chunk
-        for row, j, s, _ in direct:
-            row[j] += float(sums[s][j])
-        direct = [d for d in direct if tail(n, d[2], d[3]) > TOL]
-    return table
-
-
-def lerch_phi(z: float, s: int, a: float) -> float:
-    """Evaluate phi(z,s,a) = sum_k z^k/(k+a)^s with absolute error <= TOL.
-
-    Raises DomainError for arguments off the series domain and
-    ResourceLimitError if direct summation cannot meet the tail bound
-    within TERM_CAP terms: z too close to 1 while a > 2.  Where the first
-    term a^-s alone is beyond the float range the value is inf.  Where a^s
-    is (within a factor e), every term is below e / (largest float), and the
-    value is a^-s / (1 - z): within TOL, to rounding once a (1 - z) >> s,
-    and 0.0 where a^-s underflows.
-    """
-    z = float(z)
-    a = float(a)
-    if not 0.0 <= z < 1.0 or not math.isfinite(z):
-        raise DomainError("z out of [0, 1)")
-    check_positive("a", a)
-    if s != int(s) or s < 1:
-        raise DomainError("s must be a positive integer")
-    s = int(s)
-
-    log_a_s = s * math.log(a)
-    if log_a_s < -_LOG_MAX:
-        return math.inf
-    if z == 0.0:
-        return a ** (-s)
-    if log_a_s > _LOG_MAX - 1.0:  # the terms' (n + a)^s would overflow
-        return a ** (-s) / (1.0 - z)
-
-    return _lerch_table(z, math.log(z), (s,), (a,))[0][0]
+    # the shortest prefix whose tail bound is below 2^-60 z |r(1)|
+    floor = 2.0 ** -60 * -math.expm1(log_z) * weight(1.0)
+    count = 16
+    while (count < _MAX_TERMS
+           and math.exp(count * log_z) * weight(count + 1.0) > floor):
+        count *= 2
+    n = _N[:count]
+    d = (n - c) * (n + c)
+    terms = np.exp(n * log_z) * (n / (math.pi * d) + x_abs) / d
+    return -y ** 3 / (16.0 * math.pi ** 2) * float(np.add.reduce(terms))

@@ -148,8 +148,20 @@ def test_kick_domain(kwargs):
         delta_p(**kwargs)
 
 
-def _j_mpmath(x, y, dps=30):
-    """J(x, y) from its closed form with mpmath.lerchphi at ``dps`` digits."""
+def _lerch_sum(z, s, a):
+    """sum_k z^k / (k + a)^s term by term, until z^k / (1 - z) is below the
+    working precision: quicker than mpmath.lerchphi where z is not near 1."""
+    eps = mpmath.eps / (1 - z)
+    total, power, k = 0, mpmath.mpf(1), 0
+    while power > eps:
+        total += power / (k + a) ** s
+        power *= z
+        k += 1
+    return total
+
+
+def _j_mpmath(x, y, dps=30, lerch=mpmath.lerchphi):
+    """J(x, y) from its closed form with ``lerch`` at ``dps`` digits."""
     with mpmath.workdps(dps):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         ax = abs(x)
@@ -160,9 +172,33 @@ def _j_mpmath(x, y, dps=30):
                  - mpmath.mpf(1) / 8 + (ax * y / 4 if x > 0 else 0))
         for s, weight in ((2, y * y * z / (32 * mpmath.pi ** 2)),
                           (1, ax * y * y * z / (16 * mpmath.pi))):
-            value += weight * (mpmath.lerchphi(z, s, 1 + shift)
-                               - mpmath.lerchphi(z, s, 1 - shift))
+            value += weight * (lerch(z, s, 1 + shift) - lerch(z, s, 1 - shift))
         return float(value)
+
+
+def test_direct_branch_matches_mpmath():
+    # |x| log-uniform beyond the log-z switch at |x| = 0.01, both signs,
+    # y up to 5: J's one direct series against the closed form's four
+    # Lerch sums at 40 digits
+    rng = random.Random(32)
+    for _ in range(60):
+        x = math.exp(rng.uniform(math.log(0.0100001), math.log(20.0)))
+        x *= rng.choice((-1.0, 1.0))
+        y = rng.uniform(1e-3, 5.0)
+        expected = _j_mpmath(x, y, 40, _lerch_sum)
+        assert abs(j_function(x, y) - expected) <= 2e-15, (x, y)
+
+
+@pytest.mark.parametrize("x,y", [
+    (-0.003632541130602053, 2.0878500294628264),
+    (0.002759040836331793, 3.789665841627194),
+    (0.00832, 4.60),
+])
+def test_log_z_branch_takes_every_term(x, y):
+    # the log-z expansion stopped where its bound met 1e-12 and erred
+    # 2.9e-15, 3.7e-15 and 5.9e-15 here; with all six zeta(-k, a) terms
+    # it meets 50-digit mpmath to about an ulp
+    assert abs(j_function(x, y) - _j_mpmath(x, y, 50)) <= 2e-16
 
 
 @pytest.mark.parametrize("a,v", [
@@ -231,23 +267,22 @@ def test_validity_speed_domain_without_population():
         perturbative_validity(40.0, 0.999)
 
 
-# repr(J(x, y)) as computed before the Lerch sums of one call shared their
-# terms and the shift-only values were cached: both Lerch branches on both
-# sides of reduced acceleration 100, z rounding to 1 (|x| = 1e-18), y near 0
-# and y = 2 pi - 1e-3.  These pin bytes, not accuracy: the rows at
-# y = 2 pi - 1e-3 carry the double-pole cancellation (ROADMAP item 3).
+# repr(J(x, y)) on both Lerch branches on both sides of reduced
+# acceleration 100, z rounding to 1 (|x| = 1e-18), y near 0 and
+# y = 2 pi - 1e-3.  These pin bytes, not accuracy: the rows at
+# y = 2 pi - 1e-3 carry the double-pole cancellation (ROADMAP item 4 (b)).
 FROZEN_J = (
-    (-0.025, 2.1972245773362196, "0.026182410419473473"),
+    (-0.025, 2.1972245773362196, "0.026182410419473463"),
     (-0.5, 2.1972245773362196, "-0.06446832440912838"),
     (0.5, 2.1972245773362196, "0.21018474775789908"),
-    (-0.05, 2.1972245773362196, "0.0196349739247234"),
-    (0.05, 2.1972245773362196, "0.04710028114142614"),
-    (-0.010101010101010102, 2.1972245773362196, "0.03018546066512845"),
-    (0.010101010101010102, 2.1972245773362196, "0.03573400757759365"),
-    (-0.009900990099009901, 2.1972245773362196, "0.030239715785823712"),
-    (0.009900990099009901, 2.1972245773362196, "0.03567839048220049"),
-    (-0.0001, 2.1972245773362196, "0.032914903164271356"),
-    (0.0001, 2.1972245773362196, "0.03296983377870476"),
+    (-0.05, 2.1972245773362196, "0.019634973924723385"),
+    (0.05, 2.1972245773362196, "0.04710028114142613"),
+    (-0.010101010101010102, 2.1972245773362196, "0.030185460665128443"),
+    (0.010101010101010102, 2.1972245773362196, "0.035734007577593645"),
+    (-0.009900990099009901, 2.1972245773362196, "0.03023971578582821"),
+    (0.009900990099009901, 2.1972245773362196, "0.03567839048220499"),
+    (-0.0001, 2.1972245773362196, "0.03291490316427134"),
+    (0.0001, 2.1972245773362196, "0.032969833778704744"),
     (-1e-06, 2.1972245773362196, "0.032942092116363716"),
     (1e-06, 2.1972245773362196, "0.03294264142250805"),
     (-1e-18, 2.1972245773362196, "0.03294236676926569"),
@@ -258,11 +293,11 @@ FROZEN_J = (
     (-1e-18, 1e-06, "1.0436094008465246e-14"),
     (-0.5, 0.001, "-6.247396636961901e-05"),
     (0.05, 0.001, "6.2605704443749575e-06"),
-    (-0.001, 0.001, "-1.1458569335319339e-07"),
-    (-0.5, 6.282185307179586, "-0.07144619256743567"),
-    (0.05, 6.282185307179586, "0.20224495183961722"),
-    (-0.001, 6.282185307179586, "0.1604103329311073"),
-    (1e-18, 6.282185307179586, "0.1611948693171094"),
+    (-0.001, 0.001, "-1.145856933531934e-07"),
+    (-0.5, 6.282185307179586, "-0.07144619250902906"),
+    (0.05, 6.282185307179586, "0.20224495232105255"),
+    (-0.001, 6.282185307179586, "0.16041033249348402"),
+    (1e-18, 6.282185307179586, "0.16119486931711435"),
 )
 
 
