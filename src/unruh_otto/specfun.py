@@ -216,7 +216,8 @@ def _log_z_series(w: float, s: int, a: float) -> float:
 
 def lerch_part(z: float, log_z: float, x_abs: float, y: float) -> float:
     """J's four Lerch terms, sum_{n>=1} z^n r(n) (module docstring), for
-    0 < z <= 1 with log_z = log z = -2 pi x_abs, and 0 < y < 2 pi."""
+    0 < z <= 1 with log_z = log z, 0 < y < 2 pi and x_abs >= 0, which
+    enters B alone (J passes x_abs = |x| = -log z / 2 pi)."""
     c = y / (2.0 * math.pi)
     if -log_z <= _LOG_Z_SWITCH:
         (p1, m1), (p2, m2) = ((_log_z_series(log_z, s, 1.0 + c),

@@ -31,6 +31,34 @@ def test_s1_matches_logarithm():
         assert _log_z_series(w, 1, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("z,s,y", [
+    (0.3, 1, 0.5),
+    (0.7, 2, 1.0),
+    (0.95, 2, 0.05),
+    (0.999, 1, 2.5),
+    (0.5, 2, 3.0),
+])
+def test_matches_extended_precision(z, s, y):
+    # the order-s pair of J's Lerch part, weight * [phi(z,s,1+c) -
+    # phi(z,s,1-c)] with c = y/2pi, on both branches (the log-z one for
+    # z = 0.95 and 0.999).  lerch_part is linear in x_abs, the weight of the
+    # order-1 pair, so x_abs = 0 leaves the order-2 pair alone.  2e-12 of
+    # the weight is the log-z expansion's bound on the two phi
+    log_z = math.log(z)
+    x_abs = -log_z / (2.0 * math.pi)
+    with mpmath.workdps(50):
+        c = mpmath.mpf(y) / (2 * mpmath.pi)
+        weight = mpmath.mpf(y) ** 2 * z / (32 * mpmath.pi ** 2)
+        if s == 1:
+            weight = x_abs * mpmath.mpf(y) ** 2 * z / (16 * mpmath.pi)
+        expected = weight * (mpmath.lerchphi(z, s, 1 + c)
+                             - mpmath.lerchphi(z, s, 1 - c))
+    value = lerch_part(z, log_z, 0.0, y)
+    if s == 1:
+        value = lerch_part(z, log_z, x_abs, y) - value
+    assert abs(value - expected) <= 2e-12 * weight + 8 * EPS * abs(expected)
+
+
 @pytest.mark.parametrize("z,s,a", [
     (0.95, 2, 0.05),
     (math.exp(-specfun._LOG_Z_SWITCH), 1, 1e-6),
@@ -38,7 +66,7 @@ def test_s1_matches_logarithm():
     (0.999, 1, 1.5),
     (1 - 1e-12, 2, 0.5),
 ])
-def test_matches_extended_precision(z, s, a):
+def test_log_z_series_matches_extended_precision(z, s, a):
     expected = mpmath.lerchphi(z, s, a)
     value = _log_z_series(math.log(z), s, a)
     assert abs(value - expected) <= 1e-12 + 8 * EPS * abs(expected)
